@@ -69,7 +69,8 @@ Result<CompactionStats> Compactor::Run(const MemoryNodeHandle& old_handle,
 
   AlignedBuffer meta_buf(header.meta_blob_size, 64);
   DHNSW_RETURN_IF_ERROR(qp.Read(old_handle.rkey, header.meta_blob_offset, meta_buf.span()));
-  DHNSW_ASSIGN_OR_RETURN(MetaHnsw meta, MetaHnsw::FromBlob(meta_buf.span()));
+  ClusterExpect expect{.metric = static_cast<Metric>(header.metric), .dim = header.dim};
+  DHNSW_ASSIGN_OR_RETURN(MetaHnsw meta, MetaHnsw::FromBlob(meta_buf.span(), expect));
 
   std::vector<ClusterMeta> table(header.num_clusters);
   {
@@ -94,10 +95,11 @@ Result<CompactionStats> Compactor::Run(const MemoryNodeHandle& old_handle,
     DHNSW_RETURN_IF_ERROR(
         qp.Read(old_handle.rkey_for_slot(m.node_slot), range.offset, buf.span()));
 
+    expect.partition_id = c;
     DHNSW_ASSIGN_OR_RETURN(
         Cluster old_cluster,
         DecodeCluster(buf.subspan(m.BlobOffsetInRead(m.overflow_used), m.blob_size),
-                      sub_hnsw_template_));
+                      sub_hnsw_template_, expect));
     DHNSW_ASSIGN_OR_RETURN(
         std::vector<OverflowRecord> records,
         DecodeOverflowArea(buf.subspan(m.OverflowOffsetInRead(), m.overflow_used),

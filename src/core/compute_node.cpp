@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -225,7 +226,9 @@ Status ComputeNode::Connect() {
       if (IsReachabilityFailure(read)) NoteSlotFailure(0, nullptr);
       return read;
     }
-    DHNSW_ASSIGN_OR_RETURN(MetaHnsw meta, MetaHnsw::FromBlob(meta_buf.span()));
+    const ClusterExpect expect{.metric = static_cast<Metric>(header_.metric),
+                               .dim = header_.dim};
+    DHNSW_ASSIGN_OR_RETURN(MetaHnsw meta, MetaHnsw::FromBlob(meta_buf.span(), expect));
     meta.set_ef_route(options_.ef_meta);
     meta_.emplace(std::move(meta));
     return Status::Ok();
@@ -304,15 +307,16 @@ void ComputeNode::LoadedCluster::Search(std::span<const float> q, size_t k, uint
     // contiguous, so score a chunk per batched-kernel call (dispatch
     // hoisted) and filter tombstones only when folding into the heap.
     const RowsKernel rows = ActiveKernels().Rows(metric);
-    const uint32_t dim = cluster->index.dim();
+    const uint32_t dim = view->dim();
+    const std::span<const uint32_t> gids = view->global_ids();
     constexpr size_t kChunk = 256;
     float dists[kChunk];
-    const size_t n = cluster->index.size();
+    const size_t n = view->size();
     for (size_t base = 0; base < n; base += kChunk) {
       const size_t cnt = std::min(kChunk, n - base);
-      rows(q.data(), cluster->index.vectors().data() + base * dim, dim, cnt, dists);
+      rows(q.data(), view->rows() + base * dim, dim, cnt, dists);
       for (size_t j = 0; j < cnt; ++j) {
-        const uint32_t gid = cluster->global_ids[base + j];
+        const uint32_t gid = gids[base + j];
         if (!IsDeleted(gid)) out->Push(dists[j], gid);
       }
     }
@@ -323,15 +327,16 @@ void ComputeNode::LoadedCluster::Search(std::span<const float> q, size_t k, uint
     // nothing.
     const size_t slack = std::min<size_t>(tombstones.size(), 64);
     static thread_local std::vector<Scored> results;
-    cluster->index.Search(q, k + slack, std::max<uint32_t>(ef, 1), &results);
+    view->Search(q, k + slack, std::max<uint32_t>(ef, 1), &results);
+    const std::span<const uint32_t> gids = view->global_ids();
     for (const Scored& s : results) {
-      const uint32_t gid = cluster->global_ids[s.id];
+      const uint32_t gid = gids[s.id];
       if (!IsDeleted(gid)) out->Push(s.distance, gid);
     }
   }
   // Overflow part: the paper appends inserted vectors as raw records read
-  // back with the cluster; unless linked at load time they are scanned
-  // exactly (no graph links yet).
+  // back with the cluster; they have no graph links yet, so they are
+  // scanned exactly.
   const PairKernel pair = ActiveKernels().Pair(metric);
   for (const OverflowRecord& rec : overflow) {
     if (!IsDeleted(rec.global_id)) {
@@ -387,30 +392,38 @@ void ComputeNode::LoadedCluster::SearchPq(std::span<const float> q, size_t k,
   }
 }
 
-Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(
-    uint32_t cluster, std::span<const uint8_t> bytes, uint64_t used_bytes,
-    double* deserialize_us, bool traced) {
+Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& load,
+                                                                double* deserialize_us,
+                                                                bool traced) {
+  const uint32_t cluster = load.cluster;
+  const uint64_t used_bytes = load.used_bytes;
   const ClusterMeta& meta = table_[cluster];
   WallTimer timer;
   std::optional<telemetry::TraceScope> decode_scope;
   if (traced) {
     decode_scope.emplace(trace_ctx_, "cluster.decode");
-    decode_scope->set_args(cluster, bytes.size());
+    decode_scope->set_args(cluster, load.buffer.size());
   }
 
   const bool pq_mode = options_.payload != PayloadMode::kRaw;
+  auto loaded = std::make_shared<LoadedCluster>();
+  loaded->transfer_bytes = load.buffer.size();
 
   // Raw mode reads one contiguous range; overflow records precede the blob
   // for a backward (B-side) cluster and follow it for a forward one. PQ mode
   // always stages [used overflow][pq prefix] in the buffer (PostRoundReads).
-  const std::span<const uint8_t> blob_bytes =
+  // A raw load's bytes move into the LoadedCluster before the view is built
+  // over them; moving an AlignedBuffer keeps its address, so the spans below
+  // stay valid. `fetched` keeps them alive when the blob is copied instead.
+  AlignedBuffer fetched = std::move(load.buffer);
+  const std::span<const uint8_t> bytes = std::as_const(fetched).span();
+  std::span<const uint8_t> blob_bytes =
       pq_mode ? bytes.subspan(used_bytes, meta.pq_head_size)
               : bytes.subspan(meta.BlobOffsetInRead(used_bytes), meta.blob_size);
   const std::span<const uint8_t> overflow_bytes =
       pq_mode ? bytes.subspan(0, used_bytes)
               : bytes.subspan(meta.OverflowOffsetInRead(), used_bytes);
 
-  auto loaded = std::make_shared<LoadedCluster>();
   if (pq_mode) {
     DHNSW_ASSIGN_OR_RETURN(PqCluster decoded, DecodePqCluster(blob_bytes));
     if (decoded.partition_id != cluster) {
@@ -421,39 +434,33 @@ Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(
     loaded->centroid.assign(rep.begin(), rep.end());
     loaded->quantizer = meta_->quantizer();
   } else {
-    DHNSW_ASSIGN_OR_RETURN(Cluster decoded,
-                           DecodeCluster(blob_bytes, options_.sub_hnsw_template));
-    if (decoded.partition_id != cluster) {
-      return Status::Corruption("loaded blob belongs to a different partition");
+    if (ClusterView::PayloadAligned(blob_bytes)) {
+      loaded->buffer = std::move(fetched);
+    } else {
+      // A PQ-provisioned region read raw: a codes section whose count*m is
+      // not a multiple of 4 puts the rows off 4-byte alignment, so this blob
+      // is searched in a copy.
+      blob_bytes = ClusterView::CopyAligned(blob_bytes, &loaded->buffer);
     }
-    loaded->cluster.emplace(std::move(decoded));
+    const ClusterExpect expect{.metric = static_cast<Metric>(header_.metric),
+                               .dim = header_.dim,
+                               .partition_id = cluster};
+    DHNSW_ASSIGN_OR_RETURN(ClusterView view, ClusterView::Parse(blob_bytes, expect));
+    loaded->view.emplace(std::move(view));
   }
   DHNSW_ASSIGN_OR_RETURN(
       std::vector<OverflowRecord> records,
       DecodeOverflowArea(overflow_bytes, used_bytes, header_.dim));
 
-  // Split the raw records into tombstones and live inserts; optionally link
-  // live inserts straight into the decoded graph (raw payloads only — a PQ
-  // prefix has no raw graph to link into).
-  std::vector<uint32_t> tombstones;
-  std::vector<OverflowRecord> live;
+  // Split the raw records into tombstones and live inserts.
   for (OverflowRecord& rec : records) {
     if (rec.is_tombstone()) {
-      tombstones.push_back(rec.global_id);
+      loaded->tombstones.push_back(rec.global_id);
     } else {
-      live.push_back(std::move(rec));
+      loaded->overflow.push_back(std::move(rec));
     }
   }
-  std::sort(tombstones.begin(), tombstones.end());
-  if (options_.link_overflow_on_load && !pq_mode) {
-    for (const OverflowRecord& rec : live) {
-      loaded->cluster->index.Add(rec.vector);
-      loaded->cluster->global_ids.push_back(rec.global_id);
-    }
-    live.clear();
-  }
-  loaded->overflow = std::move(live);
-  loaded->tombstones = std::move(tombstones);
+  std::sort(loaded->tombstones.begin(), loaded->tombstones.end());
   loaded->used_bytes_at_load = used_bytes;
   *deserialize_us += timer.elapsed_us();
   return LoadedClusterPtr(std::move(loaded));
@@ -583,27 +590,26 @@ void ComputeNode::ProcessLoadRound(
       continue;
     }
     Result<LoadedClusterPtr> loaded =
-        predecoded != nullptr
-            ? std::move((*predecoded)[i])
-            : DecodeLoaded(load.cluster, load.buffer.span(), load.used_bytes,
-                           &breakdown->deserialize_us);
+        predecoded != nullptr ? std::move((*predecoded)[i])
+                              : DecodeLoaded(load, &breakdown->deserialize_us);
     if (!loaded.ok()) {
       // A CRC/format mismatch on freshly read bytes is wire damage; a
       // re-read fetches a clean copy. The damaged copy is NEVER cached.
       fail_one(load.cluster, loaded.status());
       continue;
     }
+    const uint64_t transfer_bytes = loaded.value()->transfer_bytes;
     if (predecoded != nullptr) {
       // The real decode ran on the prefetch worker (untraced — the buffer is
       // single-writer); this marker keeps per-cluster decode visibility in
       // the deterministic trace stream.
       trace_ctx_.Event("cluster.decode", telemetry::TraceEvent::kNoQuery, load.cluster,
-                       load.buffer.size());
+                       transfer_bytes);
     }
     breakdown->clusters_loaded += 1;
-    breakdown->bytes_read += load.buffer.size();
+    breakdown->bytes_read += transfer_bytes;
     if (options_.mode != EngineMode::kNaive) {
-      cache_.Put(load.cluster, loaded.value(), CacheWeight(load.buffer.size()));
+      cache_.Put(load.cluster, loaded.value(), CacheWeight(transfer_bytes));
     }
     out->emplace_back(load.cluster, std::move(loaded).value());
   }
@@ -746,8 +752,7 @@ std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
         }
       }
       if (!all_ok) continue;
-      raw->decoded[i] = DecodeLoaded(cluster, raw->pending[i].buffer.span(),
-                                     raw->pending[i].used_bytes, &raw->deserialize_us,
+      raw->decoded[i] = DecodeLoaded(raw->pending[i], &raw->deserialize_us,
                                      /*traced=*/false);
     }
     raw->worker_busy_ns = worker_timer.elapsed_ns();

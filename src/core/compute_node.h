@@ -80,12 +80,6 @@ struct ComputeOptions {
   /// previous wave's heaps, so the next load set is not known in advance) and
   /// in kNaive mode (no wave structure to overlap).
   uint32_t pipeline_depth = 2;
-  /// When true, overflow vectors are inserted into the decoded sub-HNSW at
-  /// load time (CPU cost once per load) instead of being linearly scanned on
-  /// every query against that cluster. Worth it once overflow grows. Ignored
-  /// under PQ payloads: there is no raw graph to link into, so overflow
-  /// records (which arrive raw either way) are always scanned exactly.
-  bool link_overflow_on_load = false;
   /// Compressed cluster payloads (DESIGN.md "PQ payloads"). Non-raw modes
   /// require a deployment built with PqConfig.enabled — Connect() fails
   /// otherwise — and a non-cosine metric. kPqRerank additionally disables
@@ -131,7 +125,7 @@ struct BatchBreakdown {
   double network_us = 0.0;      ///< simulated fabric time
   double meta_us = 0.0;         ///< meta-HNSW (cache) computation, wall time
   double sub_us = 0.0;          ///< sub-HNSW search on loaded data, wall time
-  double deserialize_us = 0.0;  ///< blob decode, wall time
+  double deserialize_us = 0.0;  ///< blob parse + overflow decode, wall time
   uint64_t round_trips = 0;
   uint64_t bytes_read = 0;
   uint64_t clusters_loaded = 0;
@@ -270,18 +264,21 @@ class ComputeNode {
   const std::string& name() const noexcept { return name_; }
 
  private:
-  /// A cluster resident in compute DRAM: either the decoded raw graph
-  /// (payload=raw) or the PQ prefix (graph + codes + centroid/codebook refs,
-  /// payload=pq*), plus overflow records (live inserts, always raw) and the
-  /// set of tombstoned ids to suppress.
+  /// A cluster resident in compute DRAM: either the fetched raw blob and
+  /// the view that searches it in place (payload=raw) or the PQ prefix
+  /// (graph + codes + centroid/codebook refs, payload=pq*), plus overflow
+  /// records (live inserts, always raw) and the set of tombstoned ids to
+  /// suppress. The view points into `buffer`, so both live and die here.
   struct LoadedCluster {
-    std::optional<Cluster> cluster;            ///< raw payload
+    AlignedBuffer buffer;                      ///< raw: the bytes `view` reads
+    std::optional<ClusterView> view;           ///< raw payload
     std::optional<PqCluster> pq;               ///< PQ prefix payload
     std::vector<float> centroid;               ///< pq: partition representative
     const ProductQuantizer* quantizer = nullptr;  ///< pq: meta-owned codebook
-    std::vector<OverflowRecord> overflow;      ///< live records (unlinked mode)
+    std::vector<OverflowRecord> overflow;      ///< live records
     std::vector<uint32_t> tombstones;          ///< deleted global ids (sorted)
     uint64_t used_bytes_at_load = 0;
+    uint64_t transfer_bytes = 0;               ///< bytes the load moved
 
     bool IsDeleted(uint32_t global_id) const noexcept;
 
@@ -310,11 +307,13 @@ class ComputeNode {
     uint64_t used_bytes = 0;
   };
 
-  /// `traced` = false suppresses the "cluster.decode" span: the prefetch
-  /// worker decodes off-thread and the trace buffer is single-writer; the
-  /// reap emits the deterministic marker event instead.
-  Result<LoadedClusterPtr> DecodeLoaded(uint32_t cluster, std::span<const uint8_t> bytes,
-                                        uint64_t used_bytes, double* deserialize_us,
+  /// Turns one fetched load into a resident cluster. A raw load hands its
+  /// buffer to the LoadedCluster, which parses the view over it in place;
+  /// PQ prefixes are decoded into a PqCluster. `traced` = false suppresses
+  /// the "cluster.decode" span: the prefetch worker decodes off-thread and
+  /// the trace buffer is single-writer; the reap emits the deterministic
+  /// marker event instead.
+  Result<LoadedClusterPtr> DecodeLoaded(PendingLoad& load, double* deserialize_us,
                                         bool traced = true);
 
   /// A cluster load abandoned after exhausting the retry budget.

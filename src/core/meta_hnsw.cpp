@@ -240,12 +240,10 @@ Result<MetaHnsw> MetaHnsw::Build(const VectorSet& base, const MetaHnswOptions& o
   return MetaHnsw(std::move(index), std::move(rep_ids), options.ef_route);
 }
 
-Result<MetaHnsw> MetaHnsw::FromBlob(std::span<const uint8_t> blob) {
-  HnswOptions options_template;  // M/metric come from the blob header
-  DHNSW_ASSIGN_OR_RETURN(Cluster cluster, DecodeCluster(blob, options_template));
-  if (cluster.partition_id != kMetaPartitionId) {
-    return Status::Corruption("blob is not a meta-HNSW");
-  }
+Result<MetaHnsw> MetaHnsw::FromBlob(std::span<const uint8_t> blob, ClusterExpect expect) {
+  expect.partition_id = kMetaPartitionId;
+  // M and (unless `expect` pins it) the metric come from the blob header.
+  DHNSW_ASSIGN_OR_RETURN(Cluster cluster, DecodeCluster(blob, HnswOptions{}, expect));
   DHNSW_ASSIGN_OR_RETURN(std::optional<ProductQuantizer> codebook,
                          DecodeClusterCodebook(blob));
   // ef_route is a local search knob, not graph state; start from the default.

@@ -18,6 +18,7 @@
 #include "dataset/dataset.h"
 #include "index/hnsw.h"
 #include "index/pq.h"
+#include "serialize/cluster_blob.h"
 
 namespace dhnsw {
 
@@ -56,8 +57,11 @@ class MetaHnsw {
   static Result<MetaHnsw> Build(const VectorSet& base, const MetaHnswOptions& options);
 
   /// Reconstructs a meta-HNSW from its serialized blob (compute instances
-  /// fetch the blob from the memory pool once at connection time).
-  static Result<MetaHnsw> FromBlob(std::span<const uint8_t> blob);
+  /// fetch the blob from the memory pool once at connection time). Readers
+  /// that hold the RegionHeader pass its metric and dim in `expect`; the
+  /// partition id is always checked against the meta-HNSW's.
+  static Result<MetaHnsw> FromBlob(std::span<const uint8_t> blob,
+                                   ClusterExpect expect = {});
 
   uint32_t num_partitions() const noexcept { return static_cast<uint32_t>(index_.size()); }
   uint32_t dim() const noexcept { return index_.dim(); }

@@ -7,9 +7,9 @@
 #include "index/distance.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
+#include "common/force_scalar.h"
 #include "index/distance_kernels.h"
 
 namespace dhnsw {
@@ -145,11 +145,6 @@ std::vector<SimdTier> ComputeAvailableTiers() {
   if (CpuHasTier(SimdTier::kAvx512)) tiers.push_back(SimdTier::kAvx512);
 #endif
   return tiers;
-}
-
-bool ForceScalarFromEnv() noexcept {
-  const char* env = std::getenv("DHNSW_FORCE_SCALAR");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }
 
 }  // namespace

@@ -7,16 +7,9 @@
 #include <mutex>
 
 #include "common/thread_pool.h"
+#include "index/hnsw_walk.h"
 
 namespace dhnsw {
-
-namespace {
-/// Reversed comparator turning std::push_heap/pop_heap into a min-heap on
-/// Scored (same ordering std::priority_queue<_, _, decltype(b < a)> used).
-struct MinCmp {
-  bool operator()(const Scored& a, const Scored& b) const noexcept { return b < a; }
-};
-}  // namespace
 
 /// One mutex per node, guarding that node's neighbor lists (all layers).
 /// Allocated per batch — the table must cover the final node count before
@@ -26,6 +19,31 @@ struct HnswNodeLocks {
   explicit HnswNodeLocks(size_t n) : locks(std::make_unique<std::mutex[]>(n)) {}
   std::mutex& Of(uint32_t id) { return locks[id]; }
   std::unique_ptr<std::mutex[]> locks;
+};
+
+struct HnswIndex::Graph {
+  const HnswIndex& index;
+  size_t size() const noexcept { return index.links_.size(); }
+  std::span<const uint32_t> neighbors(uint32_t id, uint32_t layer) const noexcept {
+    return index.links_[id][layer];
+  }
+  const float* rows() const noexcept { return index.vectors_.data(); }
+  uint32_t dim() const noexcept { return index.dim_; }
+  PairKernel pair() const noexcept { return index.pair_; }
+  GatherKernel gather() const noexcept { return index.gather_; }
+  uint32_t entry_point() const noexcept { return index.entry_point_; }
+  int32_t max_level() const noexcept { return index.max_level_; }
+};
+
+struct HnswIndex::LockedGraph : HnswIndex::Graph {
+  HnswNodeLocks& locks;
+  std::vector<uint32_t>& snapshot;  ///< scratch.nb_snapshot
+  std::span<const uint32_t> neighbors(uint32_t id, uint32_t layer) const {
+    std::lock_guard<std::mutex> lock(locks.Of(id));
+    const std::vector<uint32_t>& nbs = index.links_[id][layer];
+    snapshot.assign(nbs.begin(), nbs.end());
+    return snapshot;
+  }
 };
 
 HnswIndex::HnswIndex(uint32_t dim, HnswOptions options)
@@ -78,8 +96,9 @@ uint32_t HnswIndex::AddWithLevel(std::span<const float> v, uint32_t level) {
   uint32_t current = entry_point_;
 
   // Phase 1: greedy descent through layers above the new node's top level.
+  const Graph graph{*this};
   for (int32_t layer = max_level_; layer > static_cast<int32_t>(level); --layer) {
-    current = GreedyClosest(base, current, static_cast<uint32_t>(layer), s);
+    current = hnsw_walk::GreedyClosest(graph, base, current, static_cast<uint32_t>(layer), s);
   }
 
   // Phase 2: on each layer the node participates in, search with
@@ -87,7 +106,7 @@ uint32_t HnswIndex::AddWithLevel(std::span<const float> v, uint32_t level) {
   const int32_t top = std::min<int32_t>(static_cast<int32_t>(level), max_level_);
   for (int32_t layer = top; layer >= 0; --layer) {
     const uint32_t ulayer = static_cast<uint32_t>(layer);
-    SearchLayerInto(base, current, options_.ef_construction, ulayer, s);
+    hnsw_walk::SearchLayer(graph, base, current, options_.ef_construction, ulayer, s);
     const std::span<const Scored> found = s.best.SortAscending();
     s.candidates.assign(found.begin(), found.end());
     if (!s.candidates.empty()) {
@@ -186,73 +205,6 @@ uint32_t HnswIndex::AddBatchParallel(std::span<const float> rows, size_t count,
   return first_id;
 }
 
-void HnswIndex::SnapshotNeighborsSync(uint32_t id, uint32_t layer, HnswNodeLocks& locks,
-                                      std::vector<uint32_t>* out) const {
-  std::lock_guard<std::mutex> lock(locks.Of(id));
-  const std::vector<uint32_t>& nbs = links_[id][layer];
-  out->assign(nbs.begin(), nbs.end());
-}
-
-uint32_t HnswIndex::GreedyClosestSync(const float* query, uint32_t entry, uint32_t layer,
-                                      SearchScratch& s, HnswNodeLocks& locks) const {
-  uint32_t current = entry;
-  float current_dist = pair_(query, RowPtr(current), dim_);
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    SnapshotNeighborsSync(current, layer, locks, &s.nb_snapshot);
-    if (s.nb_snapshot.empty()) break;
-    s.EnsureBatchCapacity(s.nb_snapshot.size());
-    gather_(query, vectors_.data(), dim_, s.nb_snapshot.data(), s.nb_snapshot.size(),
-            s.dists.data());
-    for (size_t j = 0; j < s.nb_snapshot.size(); ++j) {
-      if (s.dists[j] < current_dist) {
-        current = s.nb_snapshot[j];
-        current_dist = s.dists[j];
-        improved = true;
-      }
-    }
-  }
-  return current;
-}
-
-void HnswIndex::SearchLayerIntoSync(const float* query, uint32_t entry, uint32_t ef,
-                                    uint32_t layer, SearchScratch& s,
-                                    HnswNodeLocks& locks) const {
-  if (ef == 0) ef = 1;
-  s.visited.Reset(levels_.size());
-  s.frontier.clear();
-  s.best.Reset(ef);
-
-  const float entry_dist = pair_(query, RowPtr(entry), dim_);
-  s.frontier.push_back({entry_dist, entry});
-  s.best.Push(entry_dist, entry);
-  s.visited.TestAndSet(entry);
-
-  while (!s.frontier.empty()) {
-    std::pop_heap(s.frontier.begin(), s.frontier.end(), MinCmp{});
-    const Scored candidate = s.frontier.back();
-    s.frontier.pop_back();
-    if (s.best.full() && candidate.distance > s.best.worst()) break;
-
-    SnapshotNeighborsSync(candidate.id, layer, locks, &s.nb_snapshot);
-    size_t n = 0;
-    for (uint32_t nb : s.nb_snapshot) {
-      if (!s.visited.TestAndSet(nb)) s.ids[n++] = nb;
-    }
-    if (n == 0) continue;
-    gather_(query, vectors_.data(), dim_, s.ids.data(), n, s.dists.data());
-    for (size_t j = 0; j < n; ++j) {
-      const float d = s.dists[j];
-      if (!s.best.full() || d < s.best.worst()) {
-        s.frontier.push_back({d, s.ids[j]});
-        std::push_heap(s.frontier.begin(), s.frontier.end(), MinCmp{});
-        s.best.Push(d, s.ids[j]);
-      }
-    }
-  }
-}
-
 void HnswIndex::InsertLinkedSync(uint32_t id, uint32_t level, SearchScratch& s,
                                  HnswNodeLocks& locks, std::mutex& top_mutex) {
   const float* base = RowPtr(id);
@@ -264,14 +216,15 @@ void HnswIndex::InsertLinkedSync(uint32_t id, uint32_t level, SearchScratch& s,
     observed_top = max_level_;
   }
 
+  const LockedGraph graph{{*this}, locks, s.nb_snapshot};
   for (int32_t layer = observed_top; layer > static_cast<int32_t>(level); --layer) {
-    current = GreedyClosestSync(base, current, static_cast<uint32_t>(layer), s, locks);
+    current = hnsw_walk::GreedyClosest(graph, base, current, static_cast<uint32_t>(layer), s);
   }
 
   const int32_t top = std::min<int32_t>(static_cast<int32_t>(level), observed_top);
   for (int32_t layer = top; layer >= 0; --layer) {
     const uint32_t ulayer = static_cast<uint32_t>(layer);
-    SearchLayerIntoSync(base, current, options_.ef_construction, ulayer, s, locks);
+    hnsw_walk::SearchLayer(graph, base, current, options_.ef_construction, ulayer, s);
     const std::span<const Scored> found = s.best.SortAscending();
     s.candidates.assign(found.begin(), found.end());
     // A concurrent insert may already have linked to this node, so the search
@@ -346,64 +299,6 @@ void HnswIndex::LinkBackSync(uint32_t id, const Scored& sel, uint32_t layer,
   for (const Scored& sc : s.shrink_out) nb_links.push_back(sc.id);
 }
 
-uint32_t HnswIndex::GreedyClosest(const float* query, uint32_t entry, uint32_t layer,
-                                  SearchScratch& s) const {
-  uint32_t current = entry;
-  float current_dist = pair_(query, RowPtr(current), dim_);
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    const std::vector<uint32_t>& nbs = links_[current][layer];
-    if (nbs.empty()) break;
-    gather_(query, vectors_.data(), dim_, nbs.data(), nbs.size(), s.dists.data());
-    for (size_t j = 0; j < nbs.size(); ++j) {
-      if (s.dists[j] < current_dist) {
-        current = nbs[j];
-        current_dist = s.dists[j];
-        improved = true;
-      }
-    }
-  }
-  return current;
-}
-
-void HnswIndex::SearchLayerInto(const float* query, uint32_t entry, uint32_t ef,
-                                uint32_t layer, SearchScratch& s) const {
-  if (ef == 0) ef = 1;
-  s.visited.Reset(levels_.size());
-  s.frontier.clear();
-  s.best.Reset(ef);
-
-  const float entry_dist = pair_(query, RowPtr(entry), dim_);
-  s.frontier.push_back({entry_dist, entry});
-  s.best.Push(entry_dist, entry);
-  s.visited.TestAndSet(entry);
-
-  while (!s.frontier.empty()) {
-    std::pop_heap(s.frontier.begin(), s.frontier.end(), MinCmp{});
-    const Scored candidate = s.frontier.back();
-    s.frontier.pop_back();
-    if (s.best.full() && candidate.distance > s.best.worst()) break;
-
-    // Stage unvisited neighbors, then score them with one batched call.
-    const std::vector<uint32_t>& nbs = links_[candidate.id][layer];
-    size_t n = 0;
-    for (uint32_t nb : nbs) {
-      if (!s.visited.TestAndSet(nb)) s.ids[n++] = nb;
-    }
-    if (n == 0) continue;
-    gather_(query, vectors_.data(), dim_, s.ids.data(), n, s.dists.data());
-    for (size_t j = 0; j < n; ++j) {
-      const float d = s.dists[j];
-      if (!s.best.full() || d < s.best.worst()) {
-        s.frontier.push_back({d, s.ids[j]});
-        std::push_heap(s.frontier.begin(), s.frontier.end(), MinCmp{});
-        s.best.Push(d, s.ids[j]);
-      }
-    }
-  }
-}
-
 void HnswIndex::SelectNeighbors(uint32_t base_id, const float* base,
                                 std::vector<Scored>& candidates, uint32_t m,
                                 uint32_t layer, SearchScratch& s,
@@ -474,21 +369,8 @@ void HnswIndex::Search(std::span<const float> query, size_t k, uint32_t ef,
   assert(query.size() == dim_);
   out->clear();
   if (empty() || k == 0) return;
-  ef = std::max<uint32_t>(ef, static_cast<uint32_t>(k));
-
   ScratchLease lease(scratch_pool_);
-  SearchScratch& s = *lease;
-  s.EnsureBatchCapacity(2 * options_.M + 2);
-
-  uint32_t current = entry_point_;
-  for (int32_t layer = max_level_; layer > 0; --layer) {
-    current = GreedyClosest(query.data(), current, static_cast<uint32_t>(layer), s);
-  }
-  SearchLayerInto(query.data(), current, ef, 0, s);
-
-  std::span<const Scored> sorted = s.best.SortAscending();
-  if (sorted.size() > k) sorted = sorted.first(k);
-  out->assign(sorted.begin(), sorted.end());
+  hnsw_walk::Search(Graph{*this}, query.data(), k, ef, *lease, out);
 }
 
 std::span<const uint32_t> HnswIndex::neighbors(uint32_t id, uint32_t layer) const {

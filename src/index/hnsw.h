@@ -49,7 +49,7 @@ struct HnswOptions {
   uint64_t seed = 0x5eedULL;      ///< level-assignment RNG seed
   /// If set, levels are clamped so the graph has at most `max_level+1`
   /// layers. d-HNSW's meta-HNSW uses max_level = 2 (three layers).
-  std::optional<uint32_t> max_level;
+  std::optional<uint32_t> max_level = std::nullopt;
   bool extend_candidates = false;     ///< Algorithm 4's extendCandidates flag
   bool keep_pruned_connections = true;///< Algorithm 4's keepPrunedConnections
 };
@@ -130,17 +130,11 @@ class HnswIndex {
                                    uint32_t entry_point);
 
  private:
-  /// Greedy walk on one layer from `entry`, returning the closest node found
-  /// (ef = 1 search; used for the descent through upper layers). Each hop
-  /// scores the full neighbor list with one batched-kernel call.
-  uint32_t GreedyClosest(const float* query, uint32_t entry, uint32_t layer,
-                         SearchScratch& scratch) const;
-
-  /// Algorithm 2: layer-restricted best-first search; leaves up to `ef`
-  /// candidates in scratch.best. Unvisited neighbors are staged into
-  /// scratch.ids and scored with one batched-kernel call per expansion.
-  void SearchLayerInto(const float* query, uint32_t entry, uint32_t ef,
-                       uint32_t layer, SearchScratch& scratch) const;
+  /// Graph accessors for the shared walker (index/hnsw_walk.h): `Graph`
+  /// reads the adjacency directly; `LockedGraph` copies each neighbor list
+  /// under its node lock, for reads while AddBatchParallel is linking.
+  struct Graph;
+  struct LockedGraph;
 
   /// Algorithm 4: diversity-preserving neighbor selection into `*out`
   /// (sorted candidates with their distances kept, so callers can reuse the
@@ -154,16 +148,8 @@ class HnswIndex {
 
   /// --- batch-parallel insert internals (AddBatchParallel) ---
   /// All *Sync helpers read neighbor lists only as lock-held snapshots
-  /// (copied into scratch.nb_snapshot) and never hold two node locks at
-  /// once, so the lock order is trivially acyclic.
-  /// Copies links_[id][layer] into *out under the node's lock.
-  void SnapshotNeighborsSync(uint32_t id, uint32_t layer, HnswNodeLocks& locks,
-                             std::vector<uint32_t>* out) const;
-  uint32_t GreedyClosestSync(const float* query, uint32_t entry, uint32_t layer,
-                             SearchScratch& scratch, HnswNodeLocks& locks) const;
-  void SearchLayerIntoSync(const float* query, uint32_t entry, uint32_t ef,
-                           uint32_t layer, SearchScratch& scratch,
-                           HnswNodeLocks& locks) const;
+  /// (LockedGraph, copied into scratch.nb_snapshot) and never hold two node
+  /// locks at once, so the lock order is trivially acyclic.
   /// Full phase-1 + phase-2 insertion of a pre-allocated node (vector,
   /// level, and empty adjacency rows already published).
   void InsertLinkedSync(uint32_t id, uint32_t level, SearchScratch& scratch,

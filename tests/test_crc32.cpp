@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string_view>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace dhnsw {
 namespace {
@@ -52,6 +55,58 @@ TEST(Crc32cTest, ChainingViaSeedEqualsOneShot) {
   const uint32_t first = Crc32c(all.subspan(0, 10));
   const uint32_t chained = Crc32c(all.subspan(10), first);
   EXPECT_EQ(chained, one_shot);
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+// The SSE4.2 path against the table-loop oracle: every length up to one
+// page at every start offset modulo 8 (so each head/tail split of the
+// 8-byte loop is hit), random seeds, and a 1 MB buffer.
+TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndOffset) {
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  const std::vector<uint8_t> data = RandomBytes(4096 + 8, 11);
+  Xoshiro256 rng(13);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const auto s = std::span<const uint8_t>(data).subspan(offset, len);
+      const uint32_t seed = len % 3 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32cHardware(s, seed), Crc32cPortable(s, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+  const std::vector<uint8_t> big = RandomBytes(1 << 20, 17);
+  EXPECT_EQ(Crc32cHardware(big), Crc32cPortable(big));
+  EXPECT_EQ(Crc32cHardware(std::span<const uint8_t>(big).subspan(3)),
+            Crc32cPortable(std::span<const uint8_t>(big).subspan(3)));
+}
+
+TEST(Crc32cTest, HardwareChainedCallsEqualOneCall) {
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  const std::vector<uint8_t> data = RandomBytes(5000, 19);
+  const uint32_t one_shot = Crc32cHardware(data);
+  ASSERT_EQ(one_shot, Crc32cPortable(data));
+  Xoshiro256 rng(23);
+  for (int trial = 0; trial < 50; ++trial) {
+    // Split into random pieces; chaining each piece's CRC as the next seed
+    // must reproduce the one-shot value, on both paths.
+    uint32_t hw = 0;
+    uint32_t portable = 0;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const size_t len = std::min<size_t>(1 + rng.NextBounded(300), data.size() - pos);
+      const auto piece = std::span<const uint8_t>(data).subspan(pos, len);
+      hw = Crc32cHardware(piece, hw);
+      portable = Crc32cPortable(piece, portable);
+      pos += len;
+    }
+    ASSERT_EQ(hw, one_shot) << "trial " << trial;
+    ASSERT_EQ(portable, one_shot) << "trial " << trial;
+  }
 }
 
 }  // namespace

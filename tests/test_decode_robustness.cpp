@@ -50,6 +50,17 @@ TEST_P(ClusterBlobFuzzTest, RandomByteFlipsNeverCrash) {
       // (e.g. the flip hit padding — CRC covers only the payload bytes).
       EXPECT_TRUE(decoded.value().index.Validate().ok());
     }
+    // The in-place view accepts exactly what DecodeCluster accepts, and
+    // whatever it accepts is safe to search.
+    AlignedBuffer realigned;
+    std::span<const uint8_t> bytes = blob;
+    if (!ClusterView::PayloadAligned(bytes)) bytes = ClusterView::CopyAligned(bytes, &realigned);
+    auto view = ClusterView::Parse(bytes, {.metric = Metric::kL2});
+    EXPECT_EQ(view.ok(), decoded.ok());
+    if (view.ok()) {
+      std::vector<Scored> out;
+      view.value().Search(std::vector<float>(6, 0.5f), 5, 16, &out);
+    }
     // Either way: no crash, no UB (ASAN-clean under sanitizer builds).
   }
 }

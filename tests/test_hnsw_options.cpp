@@ -2,6 +2,7 @@
 // variants) that the main hnsw test leaves at their defaults.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "common/rng.h"
@@ -36,6 +37,11 @@ struct OptionCase {
   bool extend_candidates;
   bool keep_pruned;
 };
+
+// Without a printer gtest dumps the struct's raw bytes -- the `name` pointer
+// (ASLR-dependent) and padding -- into the listed test name, so the name
+// ctest registers would change from one build to the next.
+void PrintTo(const OptionCase& oc, std::ostream* os) { *os << oc.name; }
 
 class HnswOptionSweep : public ::testing::TestWithParam<OptionCase> {};
 

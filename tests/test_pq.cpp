@@ -395,6 +395,45 @@ TEST(PqEngineTest, ByteBudgetCacheKeepsResultsIdentical) {
   }
 }
 
+// A PQ-provisioned region read with payload=raw: each blob carries a codes
+// section of 32 + count*m bytes in front of the payload, so clusters with an
+// odd count*m have their rows off 4-byte alignment. Those are searched in a
+// realigned copy, the rest in place; either way the results must equal those
+// of the same deployment provisioned without codes.
+TEST(PqEngineTest, RawPayloadOnPqRegionMatchesPlainRegion) {
+  Dataset ds = MakeSynthetic({.dim = 12, .num_base = 801, .num_queries = 24,
+                              .num_clusters = 6, .seed = 1212});
+  DhnswConfig pq_config = PqEngineConfig(3);
+  pq_config.compute.payload = PayloadMode::kRaw;
+  DhnswConfig plain_config = pq_config;
+  plain_config.pq.enabled = false;
+  auto pq = DhnswEngine::Build(ds.base, pq_config);
+  auto plain = DhnswEngine::Build(ds.base, plain_config);
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  bool some_misaligned = false;
+  for (const ClusterMeta& m : pq.value().memory_node()->plan().entries) {
+    ASSERT_GT(m.pq_head_size, 0u);
+    some_misaligned |= (m.blob_size - ClusterHeader::kEncodedSize) % 2 == 1;
+  }
+  ASSERT_TRUE(some_misaligned) << "no cluster with an odd count*m; the test proves nothing";
+
+  auto a = pq.value().SearchAll(ds.queries, 10, 48);
+  auto b = plain.value().SearchAll(ds.queries, 10, 48);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  for (size_t q = 0; q < ds.queries.size(); ++q) {
+    const auto& ra = a.value().results[q];
+    const auto& rb = b.value().results[q];
+    ASSERT_EQ(ra.size(), rb.size()) << "query " << q;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].id, rb[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(ra[i].distance, rb[i].distance) << "query " << q << " rank " << i;
+    }
+  }
+}
+
 TEST(PqEngineTest, CompactionPreservesPqDeployment) {
   Dataset ds = MakeSynthetic({.dim = 16, .num_base = 800, .num_queries = 10,
                               .num_clusters = 4, .seed = 606});

@@ -1,5 +1,6 @@
 // Proves the allocation-free search contract (index/hnsw.h): after warm-up,
-// HnswIndex::Search(query, k, ef, out) performs zero heap allocations.
+// HnswIndex::Search(query, k, ef, out) — and ClusterView::Search over a
+// fetched blob (serialize/cluster_blob.h) — performs zero heap allocations.
 //
 // Mechanism: global operator new/delete are replaced with counting versions
 // (gtest and the index itself allocate freely outside the measured window;
@@ -8,12 +9,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <vector>
 
+#include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "index/hnsw.h"
+#include "serialize/cluster_blob.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -131,6 +135,45 @@ TEST(SearchAllocTest, InstrumentedSearchDoesNotAllocate) {
       << (after - before) << " allocations in 100 instrumented searches";
   EXPECT_EQ(buffer.dropped(), 0u);
   EXPECT_EQ(searches->value(), 100u);
+}
+
+// The compute node's sub-search path: a view parsed in place over a fetched
+// buffer searches with thread-local scratch and allocates nothing once warm.
+TEST(SearchAllocTest, SteadyStateViewSearchDoesNotAllocate) {
+  constexpr uint32_t kDim = 32;
+  constexpr uint32_t kCount = 1500;
+  HnswIndex index(kDim, {.M = 8, .ef_construction = 60});
+  Xoshiro256 rng(0x71e3u);
+  std::vector<float> v(kDim);
+  for (uint32_t i = 0; i < kCount; ++i) {
+    for (float& x : v) x = static_cast<float>(rng.NextDouble());
+    index.Add(v);
+  }
+  std::vector<uint32_t> gids(kCount);
+  for (uint32_t i = 0; i < kCount; ++i) gids[i] = i;
+  const std::vector<uint8_t> blob = EncodeCluster(Cluster(0, std::move(index), gids));
+  AlignedBuffer fetched(blob.size(), 64);
+  std::memcpy(fetched.data(), blob.data(), blob.size());
+  auto view = ClusterView::Parse(std::as_const(fetched).span(), {.dim = kDim});
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  std::vector<float> query(kDim);
+  std::vector<Scored> out;
+  for (int i = 0; i < 10; ++i) {  // warm-up: thread-local scratch and `out`
+    for (float& x : query) x = static_cast<float>(rng.NextDouble());
+    view.value().Search(query, 10, 50, &out);
+    ASSERT_FALSE(out.empty());
+  }
+
+  const uint64_t before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    for (float& x : query) x = static_cast<float>(rng.NextDouble());
+    view.value().Search(query, 10, 50, &out);
+    ASSERT_EQ(out.size(), 10u);
+  }
+  const uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations in 100 steady-state view searches";
 }
 
 TEST(SearchAllocTest, AllocatingOverloadStillWorks) {

@@ -1,5 +1,5 @@
-// Tombstone deletes + link-overflow-on-load (extensions over the paper's
-// insert path; see serialize/overflow.h).
+// Tombstone deletes (an extension over the paper's insert path; see
+// serialize/overflow.h).
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
@@ -119,50 +119,6 @@ TEST(TombstoneTest, DoubleRemoveIsHarmless) {
   auto result = engine.value().SearchAll(probe, 5, 48);
   ASSERT_TRUE(result.ok());
   for (const Scored& s : result.value().results[0]) EXPECT_NE(s.id, 3u);
-}
-
-TEST(TombstoneTest, LinkOverflowOnLoadMatchesScanMode) {
-  Dataset ds = SmallData();
-  DhnswConfig scan_config = SmallConfig();
-  DhnswConfig link_config = SmallConfig();
-  link_config.compute.link_overflow_on_load = true;
-
-  auto scan = DhnswEngine::Build(ds.base, scan_config);
-  auto link = DhnswEngine::Build(ds.base, link_config);
-  ASSERT_TRUE(scan.ok());
-  ASSERT_TRUE(link.ok());
-
-  // Same inserts + removals on both engines.
-  Xoshiro256 rng(17);
-  for (int i = 0; i < 30; ++i) {
-    const size_t src = rng.NextBounded(ds.base.size());
-    std::vector<float> v(ds.base[src].begin(), ds.base[src].end());
-    v[0] += 0.25f;
-    ASSERT_TRUE(scan.value().Insert(v).ok());
-    ASSERT_TRUE(link.value().Insert(v).ok());
-  }
-  ASSERT_TRUE(scan.value().Remove(ds.base[11], 11).ok());
-  ASSERT_TRUE(link.value().Remove(ds.base[11], 11).ok());
-
-  auto r_scan = scan.value().SearchAll(ds.queries, 10, 64);
-  auto r_link = link.value().SearchAll(ds.queries, 10, 64);
-  ASSERT_TRUE(r_scan.ok());
-  ASSERT_TRUE(r_link.ok());
-  // Linked mode re-runs graph search over the same vector set; with a
-  // generous ef both modes must surface (nearly) the same neighbors. Require
-  // exact agreement on the top-1 and >=9/10 overlap on the top-10.
-  for (size_t qi = 0; qi < ds.queries.size(); ++qi) {
-    const auto& a = r_scan.value().results[qi];
-    const auto& b = r_link.value().results[qi];
-    ASSERT_FALSE(a.empty());
-    ASSERT_FALSE(b.empty());
-    EXPECT_EQ(a[0].id, b[0].id) << "query " << qi;
-    std::set<uint32_t> ids_a, ids_b;
-    for (const Scored& s : a) ids_a.insert(s.id);
-    size_t overlap = 0;
-    for (const Scored& s : b) overlap += ids_a.count(s.id);
-    EXPECT_GE(overlap, 9u) << "query " << qi;
-  }
 }
 
 }  // namespace
