@@ -30,7 +30,10 @@ void BM_ReadSimulatedLatency(benchmark::State& state) {
   AlignedBuffer buf(bytes, 64);
   uint64_t last = 0;
   for (auto _ : state) {
-    qp.Read(rig.rkey, 0, buf.span());
+    if (!qp.Read(rig.rkey, 0, buf.span()).ok()) {
+      state.SkipWithError("read failed");
+      break;
+    }
     benchmark::DoNotOptimize(buf.data());
   }
   last = clock.now_ns() / std::max<uint64_t>(1, state.iterations());
@@ -81,7 +84,10 @@ void BM_WriteSimulatedLatency(benchmark::State& state) {
   QueuePair qp(&rig.fabric, &clock);
   AlignedBuffer buf(bytes, 64);
   for (auto _ : state) {
-    qp.Write(rig.rkey, 0, buf.span());
+    if (!qp.Write(rig.rkey, 0, buf.span()).ok()) {
+      state.SkipWithError("write failed");
+      break;
+    }
   }
   state.counters["sim_ns_per_write"] =
       static_cast<double>(clock.now_ns()) / static_cast<double>(state.iterations());

@@ -72,7 +72,7 @@ class BinaryReader {
   Status GetU32(uint32_t* v) { return GetLE(v); }
   Status GetU64(uint64_t* v) { return GetLE(v); }
   Status GetI32(int32_t* v) {
-    uint32_t bits;
+    uint32_t bits = 0;
     DHNSW_RETURN_IF_ERROR(GetLE(&bits));
     *v = static_cast<int32_t>(bits);
     return Status::Ok();

@@ -1075,7 +1075,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
     // so prune when (dist(q,rep) - radius) > factor * kth_best. Non-L2
     // metrics lack the triangle inequality; fall back to comparing raw
     // representative scores.
-    auto prunable = [&](const WorkItem& item, const std::vector<TopKHeap>& heaps) {
+    auto prunable = [&](const WorkItem& item) {
       if (prune <= 0.0) return false;
       const TopKHeap& heap = heaps[item.query_index];
       if (!heap.full()) return false;
@@ -1109,7 +1109,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       if (prune <= 0.0) return nullptr;
       load_wanted.assign(table_.size(), 0);
       for (const WorkItem& item : wave.work) {
-        if (!prunable(item, heaps)) load_wanted[item.cluster] = 1;
+        if (!prunable(item)) load_wanted[item.cluster] = 1;
       }
       return &load_wanted;
     };
@@ -1181,7 +1181,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
         if (wave_probed_[item.cluster] != 0) continue;
         // Pruned items never touched the cache before; keep it that way
         // (prunable is monotone, so an item pruned now stays pruned).
-        if (prune > 0.0 && prunable(item, heaps)) continue;
+        if (prune > 0.0 && prunable(item)) continue;
         wave_probed_[item.cluster] = 1;
         if (failed_cluster(item.cluster)) continue;
         LoadedClusterPtr* hit = cache_.Get(item.cluster);
@@ -1234,7 +1234,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
           const size_t last = s + 1 < starts.size() ? starts[s + 1] : wave.work.size();
           for (size_t w = first; w < last; ++w) {
             const WorkItem& item = wave.work[w];
-            if (prunable(item, heaps)) {
+            if (prunable(item)) {
               pruned_searches.fetch_add(1, std::memory_order_relaxed);
               continue;
             }
@@ -1249,7 +1249,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       } else {
         for (size_t w = 0; w < wave.work.size(); ++w) {
           const WorkItem& item = wave.work[w];
-          if (prunable(item, heaps)) {
+          if (prunable(item)) {
             pruned_searches.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
@@ -1316,17 +1316,22 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
   return result;
 }
 
-Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
-                                                std::span<const uint8_t> record) {
+Result<InsertReceipt> ComputeNode::AppendRecords(uint32_t partition,
+                                                 std::span<const uint8_t> records) {
   ClusterMeta& meta = table_[partition];
   const uint64_t rec = meta.record_size;
-  if (record.size() != rec) return Status::Internal("AppendRecord: bad record size");
+  if (records.empty() || records.size() % rec != 0) {
+    return Status::Internal("AppendRecords: bad record bytes");
+  }
+  const size_t count = records.size() / rec;
+  const uint64_t want = records.size();
   telemetry::TraceScope append_scope(trace_ctx_, "insert.append");
-  append_scope.set_args(partition, rec);
+  append_scope.set_args(partition, want);
 
-  // Ring 1: FAA-allocate `rec` bytes from this cluster's side of the shared
-  // overflow area, and read the partner's counter in the SAME round trip to
-  // validate the shared budget (used_A + used_B <= capacity).
+  // Ring 1: ONE FAA claims `want` bytes — room for every record of the
+  // group — from this cluster's side of the shared overflow area, and reads
+  // the partner's counter in the SAME round trip to validate the shared
+  // budget (used_A + used_B <= capacity).
   //
   // Retry semantics: a failed FAA did not execute (unreachable/timeout model
   // drops the op), so the whole ring is safely re-issued. Once the FAA has
@@ -1344,7 +1349,7 @@ Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
   AlignedBuffer partner_buf(8, 64);
   // Allocation era, captured when the FAA lands: every ring-2 WR is fenced
   // with these epochs, never freshly resolved ones. Otherwise a failover
-  // between allocation and fan-out lets the record land at its stale offset
+  // between allocation and fan-out lets a record land at its stale offset
   // on the promoted replica — whose counter hands the same slot to another
   // insert before the dead primary's delta is mirrored — and an ACKED insert
   // silently vanishes under the collision. With captured epochs the stale
@@ -1355,7 +1360,7 @@ Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
   bool faa_done = false;
   RetryBudget era_budget(options_.retry, &clock_, real_backoff_);
   uint32_t era_failures = 0;
-  uint64_t remote_offset = 0;
+  std::vector<uint64_t> offsets(count);
   for (;;) {  // one iteration per allocation era
   {
     RetryBudget budget(options_.retry, &clock_, real_backoff_);
@@ -1366,7 +1371,7 @@ Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
       const SlotRoute ctrl = RouteFor(0);
       Status ring_status;
       if (!faa_done) {
-        qp_.PostFetchAdd(ctrl.rkey, used_counter_offset(partition), rec, /*wr_id=*/1,
+        qp_.PostFetchAdd(ctrl.rkey, used_counter_offset(partition), want, /*wr_id=*/1,
                          ctrl.epoch);
         if (has_partner) {
           qp_.PostRead(ctrl.rkey, used_counter_offset(meta.partner), partner_buf.span(), 2,
@@ -1403,10 +1408,10 @@ Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
       }
       if (!IsRetryable(ring_status) || !budget.AllowRetry(++failures)) {
         if (faa_done) {
-          // Best effort: un-claim the slot; if even this fails the slot
-          // leaks zero-filled and uncommitted, which readers skip.
+          // Best effort: un-claim the slots; if even this fails they leak
+          // zero-filled and uncommitted, which readers skip.
           (void)qp_.FetchAdd(ctrl.rkey, used_counter_offset(partition),
-                             static_cast<uint64_t>(-static_cast<int64_t>(rec)), ctrl.epoch);
+                             static_cast<uint64_t>(-static_cast<int64_t>(want)), ctrl.epoch);
         }
         return ring_status;
       }
@@ -1422,40 +1427,66 @@ Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
   }
   if (has_partner) std::memcpy(&partner_used, partner_buf.data(), 8);
 
-  if (old_used + rec + partner_used > meta.overflow_capacity) {
-    // Shared area exhausted: roll the allocation back and report Capacity.
+  if (old_used + want + partner_used > meta.overflow_capacity) {
+    // Shared area exhausted: roll the allocation back and report Capacity —
+    // for the whole group, which keeps batches all-or-nothing per partition.
     // The caller can run Compact() (compactor.h) to fold overflow into the
     // base blobs and start over with an empty overflow area.
     const SlotRoute ctrl = RouteFor(0);
     auto rollback = qp_.FetchAdd(ctrl.rkey, used_counter_offset(partition),
-                                 static_cast<uint64_t>(-static_cast<int64_t>(rec)), ctrl.epoch);
+                                 static_cast<uint64_t>(-static_cast<int64_t>(want)), ctrl.epoch);
     if (!rollback.ok()) return rollback.status();
     return Status::Capacity("overflow area full for partition " + std::to_string(partition));
   }
 
-  // Ring 2: write the record at its FAA-assigned slot, on the memory
-  // instance that owns this cluster's group. The slot position keeps the
-  // cluster + overflow contiguous for single-READ loads. Retried on
-  // transient failure (a dropped WRITE left the slot zero-filled, so
-  // re-writing the same bytes is idempotent). On permanent failure the slot
-  // is NOT rolled back: concurrent inserts may have FAAed past us, and a
-  // decrement now could hand two writers the same slot — an uncommitted
-  // zero slot is benign (readers skip it), a collided slot is not.
-  remote_offset = meta.RecordOffset(old_used);
+  // Ring(s) 2: write the records at their FAA-assigned slots, on the memory
+  // instance that owns this cluster's group. The slot positions keep the
+  // cluster + overflow contiguous for single-READ loads.
+  for (size_t j = 0; j < count; ++j) offsets[j] = meta.RecordOffset(old_used + j * rec);
   if (replication_ == nullptr) {
-    DHNSW_RETURN_IF_ERROR(WithRetry([&] {
-      return qp_.Write(memory_.rkey_for_slot(meta.node_slot), remote_offset, record);
-    }));
+    // Records of one partition are adjacent, but each is posted as its own
+    // WR (the doorbell coalesces them into one round trip per window). Each
+    // WR carries its record index, so only the WRITEs that actually failed
+    // are re-issued — dropped WRITEs left their slots zero-filled, making
+    // the replay idempotent. On permanent failure the slots are NOT rolled
+    // back: concurrent inserts may have FAAed past us, and a decrement now
+    // could hand two writers the same slot — an uncommitted zero slot is
+    // benign (readers skip it), a collided slot is not.
+    const rdma::RKey shard_rkey = memory_.rkey_for_slot(meta.node_slot);
+    std::vector<size_t> to_write(count);
+    for (size_t j = 0; j < count; ++j) to_write[j] = j;
+    RetryBudget budget(options_.retry, &clock_, real_backoff_);
+    uint32_t failures = 0;
+    for (;;) {
+      for (size_t j : to_write) {
+        qp_.PostWrite(shard_rkey, offsets[j], records.subspan(j * rec, rec), /*wr_id=*/j);
+      }
+      qp_.RingDoorbell();
+      std::vector<size_t> failed_writes;
+      Status first_error;
+      rdma::Completion c;
+      while (qp_.PollCompletion(&c)) {
+        if (c.status == rdma::WcStatus::kSuccess) continue;
+        failed_writes.push_back(static_cast<size_t>(c.wr_id));
+        if (first_error.ok()) first_error = rdma::QueuePair::ToStatus(c);
+      }
+      if (failed_writes.empty()) break;
+      if (!IsRetryable(first_error) || !budget.AllowRetry(++failures)) {
+        return first_error;
+      }
+      to_write = std::move(failed_writes);
+    }
     break;
   }
-  const Status fanout =
-      ReplicateRecordWrite(meta.node_slot, remote_offset, record, record_epoch);
+  // Replicated fan-out: the whole group lands on every live replica of the
+  // owning slot, each WRITE acked by a same-ring read-back.
+  const Status fanout = ReplicateGroupWrites(meta.node_slot, offsets, records, record_epoch);
   // The FAA above advanced only the primary's counter; mirror the delta
   // onto slot 0's secondaries so a later failover hands out a converged
   // counter, and count the primary's authoritative FAA as its ack.
   const bool counters_converged =
       fanout.ok() &&
-      ReplicateCounterAdd(used_counter_offset(partition), rec, faa_epoch);
+      ReplicateCounterAdd(used_counter_offset(partition), want, faa_epoch);
   if (fanout.ok() && counters_converged) {
     Compute().replica_faa_acks->Add(1);
     break;
@@ -1473,15 +1504,15 @@ Result<InsertReceipt> ComputeNode::AppendRecord(uint32_t partition,
   // already mirrored leak a little overflow space there; readers skip the
   // uncommitted slots). Same primary (re-replication admission bumped the
   // epoch): the claim stands, refresh the era and re-issue the fan-out —
-  // re-writing the same bytes at the same offset is idempotent.
+  // re-writing the same bytes at the same offsets is idempotent.
   if (RouteFor(0).rkey != faa_rkey) faa_done = false;
   }  // era loop
 
   // Local bookkeeping: our cached table entry advances; a cached decoded
   // cluster is now stale and must be re-fetched on next use.
-  meta.overflow_used = old_used + rec;
+  meta.overflow_used = old_used + want;
   cache_.Erase(partition);
-  return InsertReceipt{partition, remote_offset};
+  return InsertReceipt{partition, offsets.front()};
 }
 
 Result<InsertReceipt> ComputeNode::Insert(std::span<const float> v, uint32_t global_id) {
@@ -1492,8 +1523,12 @@ Result<InsertReceipt> ComputeNode::Insert(std::span<const float> v, uint32_t glo
   const uint32_t partition = meta_->RouteOne(v);
   std::vector<uint8_t> record(table_[partition].record_size);
   EncodeOverflowRecord(global_id, v, record);
-  Result<InsertReceipt> receipt = AppendRecord(partition, record);
-  if (receipt.ok()) Compute().inserts->Add(1);
+  Result<InsertReceipt> receipt = AppendRecords(partition, record);
+  if (receipt.ok()) {
+    Compute().inserts->Add(1);
+  } else if (receipt.status().code() == StatusCode::kCapacity) {
+    Compute().insert_rejects->Add(1);
+  }
   return receipt;
 }
 
@@ -1506,7 +1541,7 @@ Result<InsertReceipt> ComputeNode::Remove(std::span<const float> v, uint32_t glo
   const uint32_t partition = meta_->RouteOne(v);
   std::vector<uint8_t> record(table_[partition].record_size);
   EncodeOverflowTombstone(global_id, header_.dim, record);
-  Result<InsertReceipt> receipt = AppendRecord(partition, record);
+  Result<InsertReceipt> receipt = AppendRecords(partition, record);
   if (receipt.ok()) Compute().removes->Add(1);
   return receipt;
 }
@@ -1527,268 +1562,67 @@ Result<ComputeNode::BatchInsertResult> ComputeNode::InsertBatch(
     by_partition[meta_->RouteOne(vectors[i])].push_back(i);
   }
 
-  auto used_counter_offset = [this](uint32_t cluster) {
-    return header_.table_offset +
-           static_cast<uint64_t>(cluster) * ClusterMeta::kEncodedSize +
-           ClusterMeta::kUsedFieldOffset;
-  };
-
   BatchInsertResult result;
-  for (auto& [partition, members] : by_partition) {
-    ClusterMeta& meta = table_[partition];
-    const uint64_t rec = meta.record_size;
-    const uint64_t want = rec * members.size();
-
-    // Ring 1: one FAA claims space for the whole group; the partner counter
-    // rides along to validate the shared budget. Same retry discipline as
-    // AppendRecord: re-ring while the FAA has not landed, then re-read only
-    // the partner counter, rolling the claim back on permanent failure.
-    const bool has_partner = meta.partner != ClusterMeta::kNoPartner;
-    uint64_t partner_used = 0;
-    uint64_t old_used = 0;
-    AlignedBuffer partner_buf(8, 64);
-    // Records don't depend on the allocation; encode once per partition.
-    std::vector<std::vector<uint8_t>> records(members.size());
+  for (const auto& [partition, members] : by_partition) {
+    // Records don't depend on the allocation; encode the group once.
+    const size_t rec = table_[partition].record_size;
+    std::vector<uint8_t> records(members.size() * rec);
     for (size_t j = 0; j < members.size(); ++j) {
-      records[j].resize(rec);
-      EncodeOverflowRecord(global_ids[members[j]], vectors[members[j]], records[j]);
+      EncodeOverflowRecord(global_ids[members[j]], vectors[members[j]],
+                           std::span<uint8_t>(records).subspan(j * rec, rec));
     }
-    // Allocation era (see AppendRecord): the group's ring-2 WRs are fenced
-    // with the epochs captured when the FAA landed; a failover mid-fan-out
-    // fences the stale writes out and restarts the allocation instead of
-    // letting them collide on the promoted replica.
-    uint64_t faa_epoch = 0;
-    uint64_t record_epoch = 0;
-    rdma::RKey faa_rkey{};
-    bool faa_done = false;
-    bool partition_rejected = false;
-    RetryBudget era_budget(options_.retry, &clock_, real_backoff_);
-    uint32_t era_failures = 0;
-    for (;;) {  // one iteration per allocation era
-    {
-      RetryBudget budget(options_.retry, &clock_, real_backoff_);
-      uint32_t failures = 0;
-      for (;;) {
-        const SlotRoute ctrl = RouteFor(0);
-        Status ring_status;
-        if (!faa_done) {
-          qp_.PostFetchAdd(ctrl.rkey, used_counter_offset(partition), want, 1, ctrl.epoch);
-          if (has_partner) {
-            qp_.PostRead(ctrl.rkey, used_counter_offset(meta.partner), partner_buf.span(), 2,
-                         ctrl.epoch);
-          }
-          qp_.RingDoorbell();
-          Status faa_status, partner_status;
-          rdma::Completion c;
-          while (qp_.PollCompletion(&c)) {
-            Status st = rdma::QueuePair::ToStatus(c);
-            if (c.wr_id == 1) {
-              if (st.ok()) old_used = c.atomic_result;
-              faa_status = std::move(st);
-            } else {
-              partner_status = std::move(st);
-            }
-          }
-          if (faa_status.ok()) {
-            faa_done = true;
-            faa_epoch = ctrl.epoch;
-            faa_rkey = ctrl.rkey;
-            record_epoch =
-                replication_ != nullptr ? replication_->SlotEpoch(meta.node_slot) : 0;
-            if (partner_status.ok()) break;
-            ring_status = std::move(partner_status);
-          } else {
-            ring_status = std::move(faa_status);
-          }
-        } else {
-          Status st = qp_.Read(ctrl.rkey, used_counter_offset(meta.partner),
-                               partner_buf.span(), ctrl.epoch);
-          if (st.ok()) break;
-          ring_status = std::move(st);
-        }
-        if (!IsRetryable(ring_status) || !budget.AllowRetry(++failures)) {
-          if (faa_done) {
-            (void)qp_.FetchAdd(ctrl.rkey, used_counter_offset(partition),
-                               static_cast<uint64_t>(-static_cast<int64_t>(want)), ctrl.epoch);
-          }
-          return ring_status;
-        }
-        // See AppendRecord: a failover restarts the allocation on the
-        // promoted primary (the old claim sits behind a revoked rkey).
-        if (IsReachabilityFailure(ring_status) && NoteSlotFailure(0, nullptr)) {
-          faa_done = false;
-        }
-      }
+    Result<InsertReceipt> receipt = AppendRecords(partition, records);
+    if (receipt.ok()) {
+      result.inserted += static_cast<uint32_t>(members.size());
+      Compute().inserts->Add(members.size());
+    } else if (receipt.status().code() == StatusCode::kCapacity) {
+      result.rejected.insert(result.rejected.end(), members.begin(), members.end());
+      Compute().insert_rejects->Add(members.size());
+    } else {
+      return receipt.status();
     }
-    if (has_partner) std::memcpy(&partner_used, partner_buf.data(), 8);
-
-    if (old_used + want + partner_used > meta.overflow_capacity) {
-      const SlotRoute ctrl = RouteFor(0);
-      auto rollback = qp_.FetchAdd(ctrl.rkey, used_counter_offset(partition),
-                                   static_cast<uint64_t>(-static_cast<int64_t>(want)), ctrl.epoch);
-      if (!rollback.ok()) return rollback.status();
-      for (size_t i : members) result.rejected.push_back(i);
-      partition_rejected = true;
-      break;
-    }
-
-    // Ring(s) 2: doorbell-batched WRITEs of the group's records. Records of
-    // one partition are adjacent, but each is posted as its own WR (the
-    // doorbell coalesces them into one round trip per window). Each WR
-    // carries its record index, so only the WRITEs that actually failed are
-    // re-issued — dropped WRITEs left their slots zero-filled, making the
-    // replay idempotent. Permanent failures leave uncommitted slots that
-    // readers skip (see AppendRecord for why no rollback).
-    if (replication_ == nullptr) {
-      const rdma::RKey shard_rkey = memory_.rkey_for_slot(meta.node_slot);
-      std::vector<size_t> to_write(members.size());
-      for (size_t j = 0; j < members.size(); ++j) to_write[j] = j;
-      RetryBudget budget(options_.retry, &clock_, real_backoff_);
-      uint32_t failures = 0;
-      for (;;) {
-        for (size_t j : to_write) {
-          qp_.PostWrite(shard_rkey, meta.RecordOffset(old_used + j * rec), records[j],
-                        /*wr_id=*/j);
-        }
-        qp_.RingDoorbell();
-        std::vector<size_t> failed_writes;
-        Status first_error;
-        rdma::Completion c;
-        while (qp_.PollCompletion(&c)) {
-          if (c.status == rdma::WcStatus::kSuccess) continue;
-          failed_writes.push_back(static_cast<size_t>(c.wr_id));
-          if (first_error.ok()) first_error = rdma::QueuePair::ToStatus(c);
-        }
-        if (failed_writes.empty()) break;
-        if (!IsRetryable(first_error) || !budget.AllowRetry(++failures)) {
-          return first_error;
-        }
-        to_write = std::move(failed_writes);
-      }
-      break;
-    }
-    // Replicated fan-out: the whole group lands on every live replica of
-    // the owning slot, each WRITE acked by a same-ring read-back.
-    std::vector<uint64_t> offsets(members.size());
-    for (size_t j = 0; j < members.size(); ++j) {
-      offsets[j] = meta.RecordOffset(old_used + j * rec);
-    }
-    const Status fanout =
-        ReplicateGroupWrites(meta.node_slot, offsets, records, record_epoch);
-    const bool counters_converged =
-        fanout.ok() &&
-        ReplicateCounterAdd(used_counter_offset(partition), want, faa_epoch);
-    if (fanout.ok() && counters_converged) {
-      Compute().replica_faa_acks->Add(1);  // the group's authoritative FAA
-      break;
-    }
-    const bool era_moved = replication_->SlotEpoch(0) != faa_epoch ||
-                           replication_->SlotEpoch(meta.node_slot) != record_epoch;
-    if (!era_moved) return fanout;  // genuine failure in a stable era: no ack
-    if (!era_budget.AllowRetry(++era_failures)) {
-      return fanout.ok()
-                 ? Status::Unavailable("insert: slot epoch moved before counter catch-up")
-                 : fanout;
-    }
-    // See AppendRecord: re-FAA only when the slot-0 primary changed.
-    if (RouteFor(0).rkey != faa_rkey) faa_done = false;
-    }  // era loop
-    if (partition_rejected) continue;
-
-    meta.overflow_used = old_used + want;
-    cache_.Erase(partition);
-    result.inserted += static_cast<uint32_t>(members.size());
   }
   std::sort(result.rejected.begin(), result.rejected.end());
-  Compute().inserts->Add(result.inserted);
-  Compute().insert_rejects->Add(result.rejected.size());
   return result;
 }
 
-Status ComputeNode::ReplicateRecordWrite(uint32_t slot, uint64_t remote_offset,
-                                         std::span<const uint8_t> record,
+Status ComputeNode::ReplicateGroupWrites(uint32_t slot, std::span<const uint64_t> offsets,
+                                         std::span<const uint8_t> records,
                                          uint64_t fence_epoch) {
   const std::vector<ReplicaManager::Route> routes = replication_->WriteRoutes(slot);
-  AlignedBuffer readback(record.size(), 64);
+  const size_t rec = records.size() / offsets.size();
+  AlignedBuffer readback(records.size(), 64);
   for (size_t i = 0; i < routes.size(); ++i) {
     const ReplicaManager::Route& route = routes[i];
     const bool primary = i == 0;
-    // WRITE + READ-back in one ring: the fabric executes a ring's WRs in
-    // post order, so the READ returns exactly what the WRITE stored. The
-    // record bytes carry their own CRC, so byte-identity is the ack.
-    Status st = WithRetry([&] {
-      if (replication_->SlotEpoch(slot) != fence_epoch) {
-        // Non-retryable: retrying the captured epoch against a moved slot
-        // only fences out again. The caller restarts the allocation.
-        return Status::NotFound("slot epoch moved during write fan-out");
-      }
-      if (replication_->health(slot, route.replica) == ReplicaHealth::kDead) {
-        // Deliberately non-retryable: a replica that died mid-fan-out is
-        // skipped (secondary) or fails the insert (primary).
-        return Status::NotFound("replica died during write fan-out");
-      }
-      qp_.PostWrite(route.rkey, remote_offset, record, /*wr_id=*/1, fence_epoch);
-      qp_.PostRead(route.rkey, remote_offset, readback.span(), /*wr_id=*/2, fence_epoch);
-      qp_.RingDoorbell();
-      Status write_status, read_status;
-      rdma::Completion c;
-      while (qp_.PollCompletion(&c)) {
-        Status s = rdma::QueuePair::ToStatus(c);
-        if (c.wr_id == 1) {
-          write_status = std::move(s);
-        } else {
-          read_status = std::move(s);
-        }
-      }
-      DHNSW_RETURN_IF_ERROR(std::move(write_status));
-      DHNSW_RETURN_IF_ERROR(std::move(read_status));
-      if (std::memcmp(readback.data(), record.data(), record.size()) != 0) {
-        return Status::Corruption("replica write ack: read-back differs");
-      }
-      return Status::Ok();
-    });
-    if (st.ok()) {
-      Compute().replica_insert_acks->Add(1);
-      continue;
-    }
-    if (primary) return st;
-    replication_->ReportReplicaFailure(slot, route.replica);
-  }
-  return Status::Ok();
-}
-
-Status ComputeNode::ReplicateGroupWrites(uint32_t slot, const std::vector<uint64_t>& offsets,
-                                         const std::vector<std::vector<uint8_t>>& records,
-                                         uint64_t fence_epoch) {
-  const std::vector<ReplicaManager::Route> routes = replication_->WriteRoutes(slot);
-  std::vector<AlignedBuffer> readbacks;
-  readbacks.reserve(records.size());
-  for (const std::vector<uint8_t>& record : records) readbacks.emplace_back(record.size(), 64);
-  for (size_t i = 0; i < routes.size(); ++i) {
-    const ReplicaManager::Route& route = routes[i];
-    const bool primary = i == 0;
-    std::vector<size_t> to_write(records.size());
-    for (size_t j = 0; j < records.size(); ++j) to_write[j] = j;
+    std::vector<size_t> to_write(offsets.size());
+    for (size_t j = 0; j < offsets.size(); ++j) to_write[j] = j;
     RetryBudget budget(options_.retry, &clock_, real_backoff_);
     uint32_t failures = 0;
     Status replica_status;
     for (;;) {
       if (replication_->SlotEpoch(slot) != fence_epoch) {
-        // See ReplicateRecordWrite: stale-offset writes must fence out, and
-        // retrying the captured epoch cannot succeed — restart upstream.
+        // Non-retryable: stale-offset writes must fence out, and retrying
+        // the captured epoch against a moved slot only fences out again.
+        // The caller restarts the allocation.
         replica_status = Status::NotFound("slot epoch moved during write fan-out");
         break;
       }
       if (replication_->health(slot, route.replica) == ReplicaHealth::kDead) {
+        // Deliberately non-retryable: a replica that died mid-fan-out is
+        // skipped (secondary) or fails the insert (primary).
         replica_status = Status::NotFound("replica died during write fan-out");
         break;
       }
       // Interleaved WRITE (wr 2j) / READ-back (wr 2j+1) pairs; the doorbell
-      // window coalesces them, in-order execution keeps each pair adjacent.
+      // window coalesces them, and the fabric executes a ring's WRs in post
+      // order, so each READ returns exactly what its WRITE stored. The
+      // record bytes carry their own CRC, so byte-identity is the ack.
       for (size_t j : to_write) {
-        qp_.PostWrite(route.rkey, offsets[j], records[j], /*wr_id=*/2 * j, fence_epoch);
-        qp_.PostRead(route.rkey, offsets[j], readbacks[j].span(), /*wr_id=*/2 * j + 1,
-                     fence_epoch);
+        qp_.PostWrite(route.rkey, offsets[j], records.subspan(j * rec, rec), /*wr_id=*/2 * j,
+                      fence_epoch);
+        qp_.PostRead(route.rkey, offsets[j], readback.span().subspan(j * rec, rec),
+                     /*wr_id=*/2 * j + 1, fence_epoch);
       }
       qp_.RingDoorbell();
       std::vector<size_t> failed;
@@ -1803,7 +1637,7 @@ Status ComputeNode::ReplicateGroupWrites(uint32_t slot, const std::vector<uint64
       // byte-identical before it counts.
       for (size_t j : to_write) {
         if (std::find(failed.begin(), failed.end(), j) != failed.end()) continue;
-        if (std::memcmp(readbacks[j].data(), records[j].data(), records[j].size()) != 0) {
+        if (std::memcmp(readback.data() + j * rec, records.data() + j * rec, rec) != 0) {
           failed.push_back(j);
           if (first_error.ok()) {
             first_error = Status::Corruption("replica write ack: read-back differs");
@@ -1820,7 +1654,7 @@ Status ComputeNode::ReplicateGroupWrites(uint32_t slot, const std::vector<uint64
       to_write = std::move(failed);
     }
     if (replica_status.ok()) {
-      Compute().replica_insert_acks->Add(records.size());
+      Compute().replica_insert_acks->Add(offsets.size());
       continue;
     }
     if (primary) return replica_status;

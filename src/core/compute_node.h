@@ -224,13 +224,14 @@ class ComputeNode {
   Result<InsertReceipt> Remove(std::span<const float> v, uint32_t global_id);
 
   /// Batched insertion: routes all vectors, groups them by partition, and
-  /// per partition claims space for the WHOLE group with a single FAA, then
-  /// writes the records with doorbell-batched WRITEs. Round trips drop from
-  /// 2 per vector to ~2 per touched partition — the write-path analogue of
-  /// §3.3's query-aware batching. All-or-nothing per partition: a partition
-  /// whose shared overflow cannot fit its group is rolled back and its
-  /// vector indices are reported in `rejected` (Capacity), while other
-  /// partitions' inserts proceed.
+  /// appends each group through the same write path as Insert — a single
+  /// FAA claims space for the WHOLE group, then doorbell-batched WRITEs.
+  /// Round trips drop from 2 per vector to ~2 per touched partition — the
+  /// write-path analogue of §3.3's query-aware batching. All-or-nothing per
+  /// partition: a partition whose shared overflow cannot fit its group is
+  /// rolled back and its vector indices are reported in `rejected`
+  /// (Capacity), while other partitions' inserts proceed. Any other error
+  /// fails the call, but groups appended before it stay stored.
   struct BatchInsertResult {
     uint32_t inserted = 0;
     std::vector<size_t> rejected;  ///< indices into the input batch
@@ -489,41 +490,43 @@ class ComputeNode {
   void ReportLoadFailures(const std::vector<std::pair<uint32_t, Status>>& read_errors,
                           BatchBreakdown* breakdown);
 
-  /// Replicated record write: WRITE + same-ring READ-back against every
-  /// non-dead replica of `slot`; the CRC-carrying record bytes must read back
-  /// identical (the per-replica ack). Primary failure fails the call;
-  /// a secondary that cannot ack is reported to the failure detector and
-  /// skipped. Requires an attached manager.
+  /// Replicated record writes: the records of one partition group (back to
+  /// back in `records`; record j goes to `offsets[j]`) land on every
+  /// non-dead replica of `slot` as per-replica doorbell rings of interleaved
+  /// WRITE / same-ring READ-back pairs; the CRC-carrying record bytes must
+  /// read back identical (the per-replica ack). Primary failure fails the
+  /// call; a secondary that cannot ack is reported to the failure detector
+  /// and skipped. Requires an attached manager.
   ///
   /// Every WR is fenced with `fence_epoch` — the slot's epoch captured when
-  /// the record's offset was FAA-allocated — NOT a freshly resolved one. A
-  /// failover between allocation and fan-out otherwise lands the record at a
+  /// the records' offsets were FAA-allocated — NOT a freshly resolved one. A
+  /// failover between allocation and fan-out otherwise lands a record at a
   /// stale offset on the promoted replica, colliding with slots its counter
   /// hands out before the dead primary's delta is mirrored (an acked insert
   /// then silently vanishes). With the captured epoch the stale write fences
   /// out instead; the caller observes the epoch moved and restarts the whole
   /// allocation.
-  Status ReplicateRecordWrite(uint32_t slot, uint64_t remote_offset,
-                              std::span<const uint8_t> record, uint64_t fence_epoch);
-  /// Batched form: all records of one partition group, per-replica doorbell
-  /// rings of interleaved WRITE/READ-back pairs. Same fencing contract.
-  Status ReplicateGroupWrites(uint32_t slot, const std::vector<uint64_t>& offsets,
-                              const std::vector<std::vector<uint8_t>>& records,
-                              uint64_t fence_epoch);
+  Status ReplicateGroupWrites(uint32_t slot, std::span<const uint64_t> offsets,
+                              std::span<const uint8_t> records, uint64_t fence_epoch);
   /// Catch-up FAAs: mirrors a counter delta onto slot 0's secondaries so
   /// their overflow counters converge with the primary's authoritative one.
-  /// Fenced with the allocation-time epoch like ReplicateRecordWrite.
+  /// Fenced with the allocation-time epoch like ReplicateGroupWrites.
   /// Returns false when slot 0's epoch moved past `fence_epoch` before every
   /// live secondary absorbed the delta — the caller must restart the
   /// allocation on the new primary; true otherwise (secondaries that are
   /// simply dead are reported and skipped, never a reason to restart).
   bool ReplicateCounterAdd(uint64_t remote_offset, uint64_t add, uint64_t fence_epoch);
 
-  /// Shared tail of Insert/Remove: FAA-allocate a record slot in `partition`
-  /// (validating the shared group budget against the partner), then WRITE
-  /// the pre-encoded record bytes. Two round trips.
-  Result<InsertReceipt> AppendRecord(uint32_t partition,
-                                     std::span<const uint8_t> record);
+  /// The one write path of Insert, Remove and InsertBatch (paper §3.2):
+  /// `records` holds one or more pre-encoded records of `partition`, back to
+  /// back. One FAA claims room for all of them (validating the shared group
+  /// budget against the partner in the same ring), then they are written —
+  /// doorbell-batched WRITEs, or the replicated fan-out — inside an
+  /// allocation era that restarts on failover. All or nothing: a group the
+  /// shared area cannot fit is rolled back and refused with Capacity. Two
+  /// round trips for a single record; returns the first record's receipt.
+  Result<InsertReceipt> AppendRecords(uint32_t partition,
+                                      std::span<const uint8_t> records);
 
   rdma::Fabric* fabric_;
   MemoryNodeHandle memory_;

@@ -212,11 +212,13 @@ Result<uint32_t> DhnswEngine::InsertBatch(const VectorSet& vectors,
   std::vector<uint32_t> ids(vectors.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = first_id + static_cast<uint32_t>(i);
 
+  // The ids are consumed whatever the outcome: rejected rows are simply
+  // never stored, and a call that fails may already have stored earlier
+  // partition groups, whose ids must never be handed out again. Keeping the
+  // id space monotone also avoids renumbering surviving rows.
+  next_global_id_ = first_id + static_cast<uint32_t>(vectors.size());
   DHNSW_ASSIGN_OR_RETURN(ComputeNode::BatchInsertResult result,
                          computes_[via_instance]->InsertBatch(vectors, ids));
-  // Ids stay assigned even for rejected rows (they are simply never stored);
-  // keeping the id space monotone avoids renumbering surviving rows.
-  next_global_id_ = first_id + static_cast<uint32_t>(vectors.size());
   if (rejected != nullptr) *rejected = std::move(result.rejected);
   return first_id;
 }

@@ -144,7 +144,9 @@ class DhnswEngine {
   /// Batched insertion: assigns consecutive global ids to `vectors` and
   /// writes them with per-partition coalesced FAAs + doorbell-batched
   /// WRITEs (see ComputeNode::InsertBatch). Returns the first assigned id;
-  /// `rejected` (if non-null) receives the indices that hit Capacity.
+  /// `rejected` (if non-null) receives the indices that hit Capacity. The
+  /// batch's ids are consumed even when the call fails, since partition
+  /// groups written before the failure stay stored.
   Result<uint32_t> InsertBatch(const VectorSet& vectors,
                                std::vector<size_t>* rejected = nullptr,
                                size_t via_instance = 0);

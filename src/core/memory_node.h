@@ -29,8 +29,8 @@ struct MemoryNodeHandle {
   rdma::NodeId node = 0;
   rdma::RKey rkey = 0;
   uint64_t region_size = 0;
-  std::vector<rdma::RKey> shard_rkeys;
-  std::vector<rdma::NodeId> shard_nodes;
+  std::vector<rdma::RKey> shard_rkeys = {};
+  std::vector<rdma::NodeId> shard_nodes = {};
 
   rdma::RKey rkey_for_slot(uint32_t slot) const {
     return shard_rkeys.empty() ? rkey : shard_rkeys[slot];

@@ -31,7 +31,7 @@ struct WorkloadSpec {
   /// Optional explicit row -> topic map (e.g. the partitioner's assignment,
   /// making topics == d-HNSW partitions so skew concentrates cluster
   /// demand). Empty: topic t covers the contiguous slice [t*n/T, (t+1)*n/T).
-  std::vector<uint32_t> row_topics;
+  std::vector<uint32_t> row_topics = {};
 };
 
 /// Draws query batches over `base`: each query is a noisy copy of a base

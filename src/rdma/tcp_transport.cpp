@@ -348,11 +348,11 @@ void TcpTransport::set_hang_handlers(bool hang) {
 void TcpTransport::Shutdown() {
   if (stopping_.exchange(true)) return;
   hang_cv_.notify_all();  // release handlers parked by set_hang_handlers(true)
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    CloseFd(listen_fd_);
-  }
+  // shutdown() wakes the accept() the loop is parked in; the descriptor is
+  // closed (and reset) only after the loop has exited, since it reads it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  CloseFd(listen_fd_);
   std::vector<std::unique_ptr<Conn>> handlers;
   {
     std::lock_guard<std::mutex> lock(handler_mutex_);

@@ -10,7 +10,9 @@
 //       artifact the failover-chaos CI job archives and byte-compares).
 // Plus: online re-replication restores the factor while search keeps being
 // served, and the restored copy is a real serving replica (it survives a
-// second primary kill). When every replica of a shard is gone, only
+// second primary kill). A replicated InsertBatch killed mid-batch commits
+// on the promoted replica, loses no stored row, and replays its trace
+// byte-identically. When every replica of a shard is gone, only
 // allow_partial degrades queries — matching the router policy.
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "common/timer.h"
 #include "core/compute_pool.h"
 #include "core/workload_gen.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace dhnsw {
@@ -143,6 +146,124 @@ TEST(ChaosFailoverTest, TraceJsonlIsByteIdenticalAcrossSameSeedKillRuns) {
   // CI artifact hook: archive the canonical failover trace when set.
   if (const char* dir = std::getenv("DHNSW_TRACE_ARTIFACT_DIR")) {
     const std::string path = std::string(dir) + "/failover_trace.jsonl";
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(first.data(), 1, first.size(), f), first.size());
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+}
+
+/// A base row nudged off its original: an exact self-query's top-1 can only
+/// be the inserted copy.
+std::vector<float> Nudged(std::span<const float> src) {
+  std::vector<float> v(src.begin(), src.end());
+  v[0] += 0.25f;
+  return v;
+}
+
+/// One nudged row per partition, so every partition group of a batch is a
+/// single record. Drawn from the end of the base set.
+VectorSet OneRowPerPartition(ChaosHarness& h) {
+  const ComputeNode& node = h.engine().compute(0);
+  std::vector<bool> covered(node.num_clusters(), false);
+  VectorSet rows(node.dim());
+  for (size_t i = h.dataset().base.size(); i-- > 0 && rows.size() < covered.size();) {
+    const std::vector<float> v = Nudged(h.dataset().base[i]);
+    const uint32_t partition = node.meta().RouteOne(v);
+    if (covered[partition]) continue;
+    covered[partition] = true;
+    rows.Append(v);
+  }
+  return rows;
+}
+
+/// InsertBatch of one row per partition with slot 0's primary killed after
+/// four of this node's verbs against it: the first group's FAA + partner
+/// READ and its WRITE/READ-back on the primary. The kill lands on the next
+/// group's allocation ring, mid-batch, whatever order the groups go in.
+/// (A primary that dies inside a group's record fan-out is not reported to
+/// the failure detector, so that call fails UNAVAILABLE without acking and
+/// without failing over; ROADMAP.md tracks the gap.)
+Result<uint32_t> InsertBatchUnderKill(ChaosHarness& h, std::vector<size_t>* rejected) {
+  const VectorSet rows = OneRowPerPartition(h);
+  ComputeNode& node = h.engine().compute(0);
+  node.mutable_options()->retry = FailoverRetry();
+  DHNSW_RETURN_IF_ERROR(h.engine().fabric().ArmFaults(h.MakeKillPrimaryPlan(/*skip_first=*/4)));
+  auto first = h.engine().InsertBatch(rows, rejected);
+  h.engine().fabric().ClearFaults();
+  node.mutable_options()->retry = RetryPolicy::Disabled();
+  return first;
+}
+
+TEST(ChaosFailoverTest, ReplicatedInsertBatchSurvivesPrimaryKill) {
+  ChaosHarness h(ReplicatedConfig());
+  ReplicaManager* manager = h.engine().replication();
+  ASSERT_NE(manager, nullptr);
+  telemetry::Counter* insert_acks =
+      telemetry::DefaultRegistry().GetCounter("dhnsw_replication_insert_acks_total");
+
+  // Healthy: every row is read-back acked by both replicas. (Rows from the
+  // front of the base set, clear of OneRowPerPartition's.)
+  VectorSet healthy(h.engine().dim());
+  for (size_t i = 0; i < 40; ++i) healthy.Append(Nudged(h.dataset().base[7 * i]));
+  const uint64_t acks_before = insert_acks->value();
+  std::vector<size_t> healthy_rejected;
+  auto healthy_first = h.engine().InsertBatch(healthy, &healthy_rejected);
+  ASSERT_TRUE(healthy_first.ok()) << healthy_first.status().ToString();
+  ASSERT_TRUE(healthy_rejected.empty());
+  EXPECT_EQ(insert_acks->value() - acks_before, 2 * healthy.size());
+
+  // Killed mid-batch: the batch drives the failover and still commits.
+  const VectorSet killed = OneRowPerPartition(h);
+  std::vector<size_t> killed_rejected;
+  auto killed_first = InsertBatchUnderKill(h, &killed_rejected);
+  ASSERT_TRUE(killed_first.ok()) << killed_first.status().ToString();
+  ASSERT_TRUE(killed_rejected.empty());
+  EXPECT_EQ(manager->health(0, 0), ReplicaHealth::kDead);
+  EXPECT_GE(manager->SlotEpoch(0), 2u);
+
+  // No lost acks: every row of both batches is the exact top-1 of its own
+  // self-query on the promoted replica.
+  ComputeNode& node = h.engine().compute(0);
+  node.mutable_options()->sub_search = SubSearchMode::kFlatScan;
+  node.InvalidateCache();
+  const auto expect_stored = [&](const VectorSet& rows, uint32_t first) {
+    auto found = node.SearchAll(rows, 1, h.config().ef_search);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_FALSE(found.value().results[i].empty()) << "row " << i;
+      EXPECT_EQ(found.value().results[i][0].id, first + i) << "row " << i;
+    }
+  };
+  expect_stored(healthy, healthy_first.value());
+  expect_stored(killed, killed_first.value());
+}
+
+TEST(ChaosFailoverTest, InsertBatchKillTraceIsByteIdenticalAcrossSameSeedRuns) {
+  const auto run_traced = [] {
+    ChaosHarness::Config config = ReplicatedConfig();
+    config.transport = rdma::TransportOptions::Sim();  // wall-free traces: sim only
+    ChaosHarness h(config);
+    h.engine().EnableTracing(1 << 16);
+    std::vector<size_t> rejected;
+    auto first = InsertBatchUnderKill(h, &rejected);
+    EXPECT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_GE(h.engine().replication()->SlotEpoch(0), 2u);
+    const telemetry::TraceExportOptions wall_free{.include_wall = false};
+    return TraceToJsonl(h.engine().compute(0).trace(), wall_free) +
+           TraceToJsonl(h.engine().replication()->trace(), wall_free);
+  };
+
+  const std::string first = run_traced();
+  const std::string second = run_traced();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, second) << "same-seed InsertBatch failover traces diverged";
+  EXPECT_NE(first.find("insert.append"), std::string::npos);
+  EXPECT_NE(first.find("replication.failover"), std::string::npos);
+
+  // CI artifact hook, as for the search kill trace above.
+  if (const char* dir = std::getenv("DHNSW_TRACE_ARTIFACT_DIR")) {
+    const std::string path = std::string(dir) + "/insert_batch_failover_trace.jsonl";
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << path;
     ASSERT_EQ(std::fwrite(first.data(), 1, first.size(), f), first.size());

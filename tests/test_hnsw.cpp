@@ -144,7 +144,9 @@ TEST(HnswTest, ResultsSortedAndUnique) {
   const auto top = index.Search(RandomVector(rng, 4), 20, 50);
   std::set<uint32_t> ids;
   for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) EXPECT_LE(top[i - 1].distance, top[i].distance);
+    if (i > 0) {
+      EXPECT_LE(top[i - 1].distance, top[i].distance);
+    }
     ids.insert(top[i].id);
   }
   EXPECT_EQ(ids.size(), top.size());

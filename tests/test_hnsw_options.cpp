@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
                       OptionCase{"extend", true, false},
                       OptionCase{"keep_pruned", false, true},
                       OptionCase{"both", true, true}),
-    [](const ::testing::TestParamInfo<OptionCase>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<OptionCase>& p) { return p.param.name; });
 
 class HnswMetricSweep : public ::testing::TestWithParam<Metric> {};
 
@@ -112,8 +112,8 @@ TEST_P(HnswMetricSweep, MatchesFlatUnderSameMetric) {
 INSTANTIATE_TEST_SUITE_P(Metrics, HnswMetricSweep,
                          ::testing::Values(Metric::kL2, Metric::kInnerProduct,
                                            Metric::kCosine),
-                         [](const ::testing::TestParamInfo<Metric>& info) {
-                           return std::string(MetricName(info.param));
+                         [](const ::testing::TestParamInfo<Metric>& p) {
+                           return std::string(MetricName(p.param));
                          });
 
 TEST(HnswOptionsTest, SmallMIsClampedToTwo) {

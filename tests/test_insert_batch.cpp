@@ -3,6 +3,8 @@
 
 #include "core/engine.h"
 #include "dataset/synthetic.h"
+#include "rdma/fault_injection.h"
+#include "telemetry/metrics.h"
 
 namespace dhnsw {
 namespace {
@@ -145,6 +147,76 @@ TEST(InsertBatchTest, EmptyBatchIsNoop) {
   auto result = engine.value().InsertBatch(empty);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(engine.value().next_global_id(), ds.base.size());
+}
+
+TEST(InsertBatchTest, FailedBatchStillConsumesItsIds) {
+  Dataset ds = SmallData();
+  auto engine = DhnswEngine::Build(ds.base, SmallConfig());
+  ASSERT_TRUE(engine.ok());
+  DhnswEngine& e = engine.value();
+
+  // Three WRITEs land, then every WRITE fails for good: the groups written
+  // before the fault stay stored while the call itself fails.
+  rdma::FaultRule write_fault;
+  write_fault.opcode = rdma::Opcode::kWrite;
+  write_fault.skip_first = 3;
+  ASSERT_TRUE(e.fabric().ArmFaults(rdma::FaultPlan(5).Add(write_fault)).ok());
+  const VectorSet batch = MakeBatch(ds, 40, 6);
+  const uint32_t first_id = e.next_global_id();
+  ASSERT_FALSE(e.InsertBatch(batch).ok());
+  e.fabric().ClearFaults();
+  EXPECT_EQ(e.next_global_id(), first_id + batch.size());
+
+  e.compute(0).InvalidateCache();
+  auto found = e.SearchAll(batch, 1, 48);
+  ASSERT_TRUE(found.ok());
+  size_t stored = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<Scored>& top = found.value().results[i];
+    if (!top.empty() && top[0].id == first_id + i) ++stored;
+  }
+  ASSERT_GT(stored, 0u) << "no group was stored before the fault; test proves nothing";
+
+  // The next insert gets an id no stored row holds.
+  auto next = e.Insert(ds.base[0]);
+  ASSERT_TRUE(next.ok());
+  EXPECT_GE(next.value(), first_id + batch.size());
+}
+
+TEST(InsertBatchTest, RefusedInsertsCountOncePerRecord) {
+  Dataset ds = SmallData();
+  // Room for ~4 records per group (8-dim record = 40 B).
+  auto engine = DhnswEngine::Build(ds.base, SmallConfig(/*overflow=*/160));
+  ASSERT_TRUE(engine.ok());
+  DhnswEngine& e = engine.value();
+  telemetry::Counter* rejects =
+      telemetry::DefaultRegistry().GetCounter("dhnsw_compute_insert_rejects_total");
+
+  // Single inserts of one vector fill its group, then get refused.
+  uint64_t before = rejects->value();
+  uint64_t refused = 0;
+  for (int i = 0; i < 12; ++i) {
+    auto id = e.Insert(ds.base[0]);
+    if (!id.ok()) {
+      ASSERT_EQ(id.status().code(), StatusCode::kCapacity) << id.status().ToString();
+      ++refused;
+    }
+  }
+  ASSERT_GT(refused, 0u);
+  EXPECT_EQ(rejects->value() - before, refused);
+
+  // A refused tombstone is not a refused insert.
+  before = rejects->value();
+  EXPECT_EQ(e.Remove(ds.base[0], 0).code(), StatusCode::kCapacity);
+  EXPECT_EQ(rejects->value(), before);
+
+  // Batched refusals count every row of the refused group.
+  VectorSet same(8);
+  for (int i = 0; i < 5; ++i) same.Append(ds.base[0]);
+  std::vector<size_t> rejected;
+  ASSERT_TRUE(e.InsertBatch(same, &rejected).ok());
+  EXPECT_EQ(rejected.size(), same.size());
+  EXPECT_EQ(rejects->value() - before, same.size());
 }
 
 TEST(InsertBatchTest, WorksOnShardedPool) {

@@ -127,7 +127,9 @@ TEST(KdTreeTest, ResultsSortedAndDeterministic) {
   ASSERT_EQ(r1.size(), r2.size());
   for (size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].id, r2[i].id);
-    if (i > 0) EXPECT_LE(r1[i - 1].distance, r1[i].distance);
+    if (i > 0) {
+      EXPECT_LE(r1[i - 1].distance, r1[i].distance);
+    }
   }
 }
 

@@ -41,9 +41,9 @@ TEST_F(QueuePairTest, WriteThenReadRoundTrip) {
 TEST_F(QueuePairTest, EachOneShotOpIsOneRoundTrip) {
   QueuePair qp(&fabric_, &clock_);
   std::vector<uint8_t> buf(8);
-  qp.Write(rkey_, 0, buf);
-  qp.Read(rkey_, 0, buf);
-  qp.FetchAdd(rkey_, 0, 1);
+  ASSERT_TRUE(qp.Write(rkey_, 0, buf).ok());
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf).ok());
+  ASSERT_TRUE(qp.FetchAdd(rkey_, 0, 1).ok());
   EXPECT_EQ(qp.stats().round_trips, 3u);
   EXPECT_EQ(qp.stats().work_requests, 3u);
 }
@@ -89,10 +89,10 @@ TEST_F(QueuePairTest, SimulatedTimeAdvancesPerRing) {
   QueuePair qp(&fabric_, &clock_);
   std::vector<uint8_t> buf(4096);
   EXPECT_EQ(clock_.now_ns(), 0u);
-  qp.Read(rkey_, 0, buf);
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf).ok());
   const uint64_t after_one = clock_.now_ns();
   EXPECT_GT(after_one, 0u);
-  qp.Read(rkey_, 0, buf);
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf).ok());
   EXPECT_EQ(clock_.now_ns(), 2 * after_one);  // deterministic model
   EXPECT_EQ(qp.stats().sim_network_ns, clock_.now_ns());
 }
@@ -182,9 +182,9 @@ TEST_F(QueuePairTest, FlushReturnsAllCompletions) {
 TEST_F(QueuePairTest, StatsTrackBytesByDirection) {
   QueuePair qp(&fabric_, &clock_);
   std::vector<uint8_t> buf(100);
-  qp.Write(rkey_, 0, buf);
+  ASSERT_TRUE(qp.Write(rkey_, 0, buf).ok());
   std::vector<uint8_t> buf2(40);
-  qp.Read(rkey_, 0, buf2);
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf2).ok());
   EXPECT_EQ(qp.stats().bytes_written, 100u);
   EXPECT_EQ(qp.stats().bytes_read, 40u);
   EXPECT_EQ(qp.stats().reads, 1u);
@@ -196,10 +196,10 @@ TEST_F(QueuePairTest, StatsTrackBytesByDirection) {
 TEST_F(QueuePairTest, StatsDeltaSubtraction) {
   QueuePair qp(&fabric_, &clock_);
   std::vector<uint8_t> buf(8);
-  qp.Read(rkey_, 0, buf);
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf).ok());
   const QpStats snapshot = qp.stats();
-  qp.Read(rkey_, 0, buf);
-  qp.Read(rkey_, 0, buf);
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf).ok());
+  ASSERT_TRUE(qp.Read(rkey_, 0, buf).ok());
   const QpStats delta = qp.stats() - snapshot;
   EXPECT_EQ(delta.round_trips, 2u);
   EXPECT_EQ(delta.bytes_read, 16u);

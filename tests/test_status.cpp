@@ -56,7 +56,7 @@ TEST(ResultTest, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
-  EXPECT_TRUE(r.status().ok());
+  EXPECT_EQ(r.status(), Status::Ok());
   EXPECT_EQ(r.value_or(-1), 42);
 }
 
