@@ -573,8 +573,7 @@ void ComputeNode::ProcessLoadRound(
     std::vector<PendingLoad>& pending,
     const std::vector<std::pair<uint32_t, Status>>& read_errors,
     std::vector<Result<LoadedClusterPtr>>* predecoded, LoadRoundState* state,
-    std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out, BatchBreakdown* breakdown,
-    std::vector<uint32_t>* next_round) {
+    FreshLoads* out, BatchBreakdown* breakdown, std::vector<uint32_t>* next_round) {
   auto fail_one = [&](uint32_t cluster, Status st) {
     if (IsRetryable(st)) next_round->push_back(cluster);
     RecordLoadError(state, cluster, std::move(st));
@@ -627,8 +626,7 @@ bool ComputeNode::AdvanceLoadRound(LoadRoundState* state,
   return true;
 }
 
-void ComputeNode::RunLoadRounds(LoadRoundState* state,
-                                std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
+void ComputeNode::RunLoadRounds(LoadRoundState* state, FreshLoads* out,
                                 BatchBreakdown* breakdown) {
   qp_.set_max_doorbell_wrs(DoorbellWindow());
   // One round loads `remaining` and reports per-cluster outcomes; transient
@@ -651,9 +649,8 @@ void ComputeNode::RunLoadRounds(LoadRoundState* state,
   }
 }
 
-Status ComputeNode::FinalizeLoads(
-    LoadRoundState* state, const std::vector<std::pair<uint32_t, LoadedClusterPtr>>& out,
-    BatchBreakdown* breakdown, std::vector<FailedLoad>* failed) {
+Status ComputeNode::FinalizeLoads(LoadRoundState* state, const FreshLoads& out,
+                                  BatchBreakdown* breakdown, std::vector<FailedLoad>* failed) {
   // Whatever still carries an error and is not resident was abandoned.
   for (auto& [cluster, st] : state->last_error) {
     const bool resident = std::any_of(out.begin(), out.end(),
@@ -666,10 +663,8 @@ Status ComputeNode::FinalizeLoads(
   return Status::Ok();
 }
 
-Status ComputeNode::LoadClusters(std::span<const uint32_t> ids,
-                                 std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                                 BatchBreakdown* breakdown,
-                                 std::vector<FailedLoad>* failed) {
+Status ComputeNode::LoadClusters(std::span<const uint32_t> ids, FreshLoads* out,
+                                 BatchBreakdown* breakdown, std::vector<FailedLoad>* failed) {
   if (ids.empty()) return Status::Ok();
   for (uint32_t cluster : ids) {
     if (cluster >= table_.size()) return Status::InvalidArgument("LoadClusters: bad id");
@@ -760,10 +755,8 @@ std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
   return state;
 }
 
-Status ComputeNode::ReapWaveLoads(WaveLoadState* wave_load,
-                                  std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                                  BatchBreakdown* breakdown,
-                                  std::vector<FailedLoad>* failed) {
+Status ComputeNode::ReapWaveLoads(WaveLoadState* wave_load, FreshLoads* out,
+                                  BatchBreakdown* breakdown, std::vector<FailedLoad>* failed) {
   if (!wave_load->async) return LoadClusters(wave_load->to_load, out, breakdown, failed);
 
   // Join the prefetch worker; whatever of its busy time we did NOT spend
@@ -928,392 +921,399 @@ void ComputeNode::RunRerank(const VectorSet& queries, std::vector<RerankTask>& t
   }
 }
 
-Status ComputeNode::NaiveSearch(const VectorSet& queries, size_t begin, size_t count,
-                                size_t k, uint32_t ef_search,
-                                const std::vector<std::vector<uint32_t>>& routes,
-                                BatchResult* result) {
-  // Baseline (1): no dedup, no cache, no doorbell — one READ round trip per
-  // (query, cluster) pair, exactly as described in the paper's §4.
-  const Metric metric = options_.sub_hnsw_template.metric;
-  for (size_t i = 0; i < count; ++i) {
-    TopKHeap heap(k);
-    for (uint32_t cluster : routes[i]) {
-      std::vector<std::pair<uint32_t, LoadedClusterPtr>> loaded;
-      std::vector<FailedLoad> failures;
-      const uint32_t id[1] = {cluster};
-      DHNSW_RETURN_IF_ERROR(LoadClusters(
-          id, &loaded, &result->breakdown,
-          options_.partial_results ? &failures : nullptr));
-      if (!failures.empty()) {
-        // Degrade this query only: it keeps candidates from its other
-        // clusters; siblings in the batch are unaffected.
-        if (result->statuses[i].ok()) result->statuses[i] = failures.front().status;
-        continue;
-      }
-      WallTimer sub_timer;
-      const LoadedClusterPtr& resident = loaded.front().second;
-      std::vector<RerankTask> tasks;
-      switch (options_.payload) {
-        case PayloadMode::kRaw:
-          resident->Search(queries[begin + i], k, ef_search, metric,
-                           options_.sub_search, &heap);
-          break;
-        case PayloadMode::kPq:
-          resident->SearchPq(queries[begin + i], k, ef_search, metric,
-                             options_.sub_search, 0, nullptr, &heap);
-          break;
-        case PayloadMode::kPqRerank:
-          tasks.emplace_back();
-          tasks.back().cluster = cluster;
-          tasks.back().loaded = resident.get();
-          tasks.back().query_row = begin + i;
-          tasks.back().heap = 0;
-          resident->SearchPq(queries[begin + i], k, ef_search, metric,
-                             options_.sub_search, options_.rerank_depth,
-                             &tasks.back().cands, &heap);
-          break;
-      }
-      result->breakdown.sub_us += sub_timer.elapsed_us();
-      if (!tasks.empty()) {
-        RunRerank(queries, tasks, std::span<TopKHeap>(&heap, 1),
-                  &result->breakdown);
-      }
-    }
-    result->results[i] = heap.TakeSorted();
-  }
-  return Status::Ok();
-}
-
 Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t begin,
                                              size_t count, size_t k, uint32_t ef_search) {
   if (!connected()) return Status::Unavailable("ComputeNode: not connected");
-  if (begin + count > queries.size()) {
+  // No sum here: begin + count wraps for a huge count.
+  if (begin > queries.size() || count > queries.size() - begin) {
     return Status::InvalidArgument("SearchBatch: range out of bounds");
   }
   if (queries.dim() != header_.dim) {
     return Status::InvalidArgument("SearchBatch: query dim mismatch");
   }
 
-  BatchResult result;
-  result.results.resize(count);
-  result.statuses.assign(count, Status::Ok());
-  result.breakdown.num_queries = count;
+  BatchState batch{
+      .queries = queries, .begin = begin, .count = count, .k = k, .ef_search = ef_search};
+  batch.result.results.resize(count);
+  batch.result.statuses.assign(count, Status::Ok());
+  batch.result.breakdown.num_queries = count;
 
   // One trace "batch" umbrella per SearchBatch; the disjoint "stage.*" spans
-  // below partition it, so their wall/sim sums reconcile against the umbrella
-  // (the >= 95% coverage contract in DESIGN.md).
+  // of the stages partition it, so their wall/sim sums reconcile against the
+  // umbrella (the >= 95% coverage contract in DESIGN.md).
   trace_ctx_.batch = ++batch_seq_;
   telemetry::TraceScope batch_scope(trace_ctx_, "batch");
   batch_scope.set_args(count, k);
-
   const rdma::QpStats stats_before = qp_.stats();
 
+  DHNSW_RETURN_IF_ERROR(RefreshStage(&batch.result.breakdown));
+  RouteStage(&batch);
+  if (options_.mode == EngineMode::kNaive) {
+    DHNSW_RETURN_IF_ERROR(NaiveStage(&batch));
+  } else {
+    DHNSW_RETURN_IF_ERROR(RunWaves(PlanStage(&batch), &batch));
+    FinalizeStage(&batch);
+  }
+  RecordBatch(stats_before, &batch.result.breakdown);
+  return std::move(batch.result);
+}
+
+Status ComputeNode::RefreshStage(BatchBreakdown* breakdown) {
   // Offset-table refresh: one small READ per batch keeps the cached offsets
   // and overflow counters current (paper §3.2, "latest version stored at the
   // beginning of the memory space"). Retried: a transiently missed refresh
   // should not fail a whole batch.
-  {
-    telemetry::TraceScope refresh_scope(trace_ctx_, "stage.refresh");
-    Status refresh = WithRetry([this] { return RefreshMetadata(); },
-                               &result.breakdown.retries,
-                               &result.breakdown.backoff_ns);
-    DHNSW_RETURN_IF_ERROR(std::move(refresh));
-  }
+  telemetry::TraceScope refresh_scope(trace_ctx_, "stage.refresh");
+  return WithRetry([this] { return RefreshMetadata(); }, &breakdown->retries,
+                   &breakdown->backoff_ns);
+}
 
+void ComputeNode::ForChunks(size_t n, size_t grain,
+                            const std::function<void(size_t, size_t)>& fn) {
+  if (options_.search_threads > 1) {
+    SearchPool()->ParallelForChunked(n, grain, fn);
+  } else if (n > 0) {
+    fn(0, n);
+  }
+}
+
+void ComputeNode::RouteStage(BatchState* batch) {
   // --- meta-HNSW routing (the "cache computation" column of Tables 1-2) ---
+  // Each query descends the cached meta-HNSW on its own (RouteManyScored is
+  // const and leases its scratch from a thread-safe pool) and writes only its
+  // own route slots, so chunks of queries go out to the search pool.
+  constexpr size_t kRouteGrain = 16;
   WallTimer meta_timer;
-  std::vector<std::vector<Scored>> routes_scored(count);
-  std::vector<std::vector<uint32_t>> routes(count);
+  telemetry::TraceScope meta_scope(trace_ctx_, "stage.meta");
+  const size_t count = batch->count;
   const uint32_t b = std::max<uint32_t>(options_.clusters_per_query, 1);
-  {
-    telemetry::TraceScope meta_scope(trace_ctx_, "stage.meta");
-    meta_scope.set_args(count, b);
-    for (size_t i = 0; i < count; ++i) {
-      telemetry::TraceScope query_scope(trace_ctx_, "query.meta", static_cast<uint32_t>(i));
-      routes_scored[i] = meta_->RouteManyScored(queries[begin + i], b);
-      routes[i].reserve(routes_scored[i].size());
-      for (const Scored& s : routes_scored[i]) routes[i].push_back(s.id);
+  meta_scope.set_args(count, b);
+  batch->routes_scored.resize(count);
+  batch->routes.resize(count);
+  const bool traced = trace_ctx_.enabled();
+  std::vector<uint64_t> walls(traced ? count : 0);
+  ForChunks(count, kRouteGrain, [&](size_t first, size_t last) {
+    for (size_t i = first; i < last; ++i) {
+      const WallTimer timer;
+      std::vector<Scored>& scored = batch->routes_scored[i];
+      scored = meta_->RouteManyScored(batch->queries[batch->begin + i], b);
+      batch->routes[i].reserve(scored.size());
+      for (const Scored& s : scored) batch->routes[i].push_back(s.id);
+      if (traced) walls[i] = timer.elapsed_ns();
     }
-    result.breakdown.meta_us = meta_timer.elapsed_us();
+  });
+  // The trace buffer is single-writer: the per-query spans are appended here,
+  // in query order, after the join. Routing advances no simulated time, so
+  // they carry the sim stamps an in-place span would.
+  for (size_t i = 0; i < walls.size(); ++i) {
+    trace_ctx_.Span("query.meta", static_cast<uint32_t>(i), walls[i]);
   }
+  batch->result.breakdown.meta_us = meta_timer.elapsed_us();
+}
 
-  if (options_.mode == EngineMode::kNaive) {
-    telemetry::TraceScope naive_scope(trace_ctx_, "stage.naive");
-    DHNSW_RETURN_IF_ERROR(NaiveSearch(queries, begin, count, k, ef_search, routes, &result));
-  } else {
-    // --- query-aware batched loading (§3.3) ---
-    BatchPlan plan;
-    {
-      telemetry::TraceScope plan_scope(trace_ctx_, "stage.plan");
-      plan = PlanBatch(routes, [this](uint32_t c) { return cache_.Contains(c); },
-                       options_.cache_capacity);
-      plan_scope.set_args(plan.unique_clusters, plan.cache_hits);
-    }
-    result.breakdown.cache_hits = plan.cache_hits;
-    Compute().cache_hit_clusters->Add(plan.cache_hits);
-
-    std::vector<TopKHeap> heaps;
-    heaps.reserve(count);
-    for (size_t i = 0; i < count; ++i) heaps.emplace_back(k);
-
-    const Metric metric = options_.sub_hnsw_template.metric;
-    const double prune = options_.adaptive_prune_factor;
-
-    // Representative distance for a (query, cluster) pair — b is small, a
-    // linear scan beats a hash map here.
-    auto rep_dist = [&](uint32_t qi, uint32_t cluster) {
-      for (const Scored& s : routes_scored[qi]) {
-        if (s.id == cluster) return static_cast<double>(s.distance);
-      }
-      return 0.0;  // not routed => never prune (shouldn't happen)
-    };
-    // Monotone predicate: once a query's heap is full, its worst only
-    // improves, so a pruned pair stays pruned for the rest of the batch.
-    // Under L2 the stored distances are squared; the sound bound uses true
-    // distances with the cluster's covering radius:
-    //   any member distance >= dist(q, rep) - radius,
-    // so prune when (dist(q,rep) - radius) > factor * kth_best. Non-L2
-    // metrics lack the triangle inequality; fall back to comparing raw
-    // representative scores.
-    auto prunable = [&](const WorkItem& item) {
-      if (prune <= 0.0) return false;
-      const TopKHeap& heap = heaps[item.query_index];
-      if (!heap.full()) return false;
-      const double rd = rep_dist(item.query_index, item.cluster);
-      if (metric == Metric::kL2) {
-        const double bound =
-            std::sqrt(std::max(rd, 0.0)) - table_[item.cluster].radius;
-        return bound > prune * std::sqrt(std::max<double>(heap.worst(), 0.0));
-      }
-      return rd > prune * static_cast<double>(heap.worst());
-    };
-
-    // Pipelined wave execution: with pipeline_depth >= 2 (and pruning off —
-    // prune masks depend on heap state the previous wave has not produced
-    // yet), each wave's cluster READs are posted before the previous wave's
-    // sub-searches start, and drain + decode on the prefetch worker while
-    // those searches run. Issue/reap keeps all fabric accounting on this
-    // thread in the blocking path's exact order, so results, statuses, the
-    // cache, and the simulated timeline are bit-identical either way.
-    // kPqRerank also falls back to sequential: its owner-thread re-rank
-    // READs would interleave with a prefetched wave's WR sequence, breaking
-    // the deterministic fabric-op order replay and fault tests rely on.
-    const bool pipelined = options_.pipeline_depth >= 2 && prune <= 0.0 &&
-                           options_.payload != PayloadMode::kPqRerank;
-
-    // Adaptive pruning: elide a cluster's load entirely when every query
-    // that wanted it already has a full top-k that its representative
-    // cannot beat (cf. learned early termination [12]).
-    std::vector<uint8_t> load_wanted;
-    auto wanted_for = [&](const LoadWave& wave) -> const std::vector<uint8_t>* {
-      if (prune <= 0.0) return nullptr;
-      load_wanted.assign(table_.size(), 0);
-      for (const WorkItem& item : wave.work) {
-        if (!prunable(item)) load_wanted[item.cluster] = 1;
-      }
-      return &load_wanted;
-    };
-
-    std::unique_ptr<WaveLoadState> inflight;
-    // A failing batch must not leave a posted-but-unreaped prefetch on the
-    // QP: the next batch would inherit its WRs and completions.
-    struct InflightDrain {
-      ComputeNode* node;
-      std::unique_ptr<WaveLoadState>* inflight;
-      ~InflightDrain() {
-        if (*inflight != nullptr) node->AbandonPrefetch(inflight->get());
-      }
-    } drain_guard{this, &inflight};
-
-    for (size_t wv = 0; wv < plan.waves.size(); ++wv) {
-      const LoadWave& wave = plan.waves[wv];
-      if (inflight == nullptr) {
-        inflight = IssueWaveLoads(wave, wanted_for(wave), pipelined, &result.breakdown);
-      }
-
-      // Resident set for this wave: cache hits or fresh loads.
-      std::vector<std::pair<uint32_t, LoadedClusterPtr>> fresh;
+Status ComputeNode::NaiveStage(BatchState* batch) {
+  // Baseline (1): no dedup, no cache, no doorbell — one READ round trip per
+  // (query, cluster) pair, exactly as described in the paper's §4.
+  telemetry::TraceScope naive_scope(trace_ctx_, "stage.naive");
+  BatchResult& result = batch->result;
+  for (size_t i = 0; i < batch->count; ++i) {
+    const size_t row = batch->begin + i;
+    TopKHeap heap(batch->k);
+    for (uint32_t cluster : batch->routes[i]) {
+      FreshLoads loaded;
       std::vector<FailedLoad> failures;
-      {
-        telemetry::TraceScope load_scope(trace_ctx_, "stage.load");
-        load_scope.set_args(inflight->to_load.size(), wave.work.size());
-        DHNSW_RETURN_IF_ERROR(ReapWaveLoads(inflight.get(), &fresh, &result.breakdown,
-                                            options_.partial_results ? &failures : nullptr));
-      }
-      inflight.reset();
-      // One wave ahead (double-buffered): the next wave's misses post now and
-      // drain on the prefetch worker while this wave's sub-searches run.
-      if (pipelined && wv + 1 < plan.waves.size()) {
-        inflight = IssueWaveLoads(plan.waves[wv + 1], nullptr, true, &result.breakdown);
-      }
-      // Graceful degradation: a permanently failed cluster poisons only the
-      // queries routed to it — they keep candidates from their other
-      // clusters and carry the failure in their per-query status.
+      const uint32_t id[1] = {cluster};
+      DHNSW_RETURN_IF_ERROR(LoadClusters(
+          id, &loaded, &result.breakdown, options_.partial_results ? &failures : nullptr));
       if (!failures.empty()) {
-        for (const WorkItem& item : wave.work) {
-          const auto f = std::find_if(
-              failures.begin(), failures.end(),
-              [&item](const FailedLoad& fl) { return fl.cluster == item.cluster; });
-          if (f != failures.end() && result.statuses[item.query_index].ok()) {
-            result.statuses[item.query_index] = f->status;
-          }
-        }
+        // Degrade this query only: it keeps candidates from its other
+        // clusters; siblings in the batch are unaffected.
+        if (result.statuses[i].ok()) result.statuses[i] = failures.front().status;
+        continue;
       }
-
-      auto failed_cluster = [&failures](uint32_t cluster) {
-        return std::any_of(failures.begin(), failures.end(),
-                           [cluster](const FailedLoad& fl) { return fl.cluster == cluster; });
-      };
-
-      // Wave-local resident map, built once on the owner thread: O(1) lookup
-      // per work item instead of a linear scan over `fresh`, and exactly one
-      // cache probe per unique cluster. This also fixes a latent race — the
-      // old per-item lookup called cache_.Get (which splices the recency
-      // list) from pool workers. `fresh` holds shared_ptrs for the duration
-      // of the wave, so entries stay alive even if the cache evicts them.
-      wave_resident_.assign(table_.size(), nullptr);
-      wave_probed_.assign(table_.size(), 0);
-      for (const auto& [id, ptr] : fresh) {
-        wave_resident_[id] = ptr.get();
-        wave_probed_[id] = 1;
-      }
-      for (const WorkItem& item : wave.work) {
-        if (wave_probed_[item.cluster] != 0) continue;
-        // Pruned items never touched the cache before; keep it that way
-        // (prunable is monotone, so an item pruned now stays pruned).
-        if (prune > 0.0 && prunable(item)) continue;
-        wave_probed_[item.cluster] = 1;
-        if (failed_cluster(item.cluster)) continue;
-        LoadedClusterPtr* hit = cache_.Get(item.cluster);
-        wave_resident_[item.cluster] = hit == nullptr ? nullptr : hit->get();
-      }
-
       WallTimer sub_timer;
-      telemetry::TraceScope sub_scope(trace_ctx_, "stage.sub");
-      sub_scope.set_args(wave.work.size());
-      std::atomic<uint64_t> pruned_searches{0};
-      const PayloadMode payload = options_.payload;
-      // kPqRerank: per-work-item ADC survivor lists, filled by the searches
-      // (possibly on pool threads) and drained by the owner-thread re-rank.
-      std::vector<std::vector<Scored>> item_cands;
-      if (payload == PayloadMode::kPqRerank) item_cands.resize(wave.work.size());
-      auto search_one = [&](size_t w, const WorkItem& item,
-                            const LoadedCluster* cluster) {
-        const std::span<const float> q = queries[begin + item.query_index];
-        TopKHeap* heap = &heaps[item.query_index];
-        switch (payload) {
-          case PayloadMode::kRaw:
-            cluster->Search(q, k, ef_search, metric, options_.sub_search, heap);
-            break;
-          case PayloadMode::kPq:
-            cluster->SearchPq(q, k, ef_search, metric, options_.sub_search, 0,
-                              nullptr, heap);
-            break;
-          case PayloadMode::kPqRerank:
-            cluster->SearchPq(q, k, ef_search, metric, options_.sub_search,
-                              options_.rerank_depth, &item_cands[w], heap);
-            break;
-        }
-      };
-      if (options_.search_threads > 1) {
-        // Work items are grouped by query, so parallelizing over disjoint
-        // query ranges keeps each heap single-owner. The trace buffer is
-        // single-writer, so only wave-level spans are recorded here;
-        // per-work-item "query.sub" spans exist in the sequential path.
-        // The pool is node-owned and persistent: constructing one per wave
-        // spent a thread create/join cycle on every wave, a fixed cost that
-        // dwarfed small waves and made search_threads > 1 slower than 1.
-        std::vector<size_t> starts;
-        for (size_t w = 0; w < wave.work.size(); ++w) {
-          if (w == 0 || wave.work[w].query_index != wave.work[w - 1].query_index) {
-            starts.push_back(w);
-          }
-        }
-        SearchPool()->ParallelFor(starts.size(), [&](size_t s) {
-          const size_t first = starts[s];
-          const size_t last = s + 1 < starts.size() ? starts[s + 1] : wave.work.size();
-          for (size_t w = first; w < last; ++w) {
-            const WorkItem& item = wave.work[w];
-            if (prunable(item)) {
-              pruned_searches.fetch_add(1, std::memory_order_relaxed);
-              continue;
-            }
-            if (failed_cluster(item.cluster)) continue;  // degraded, status set above
-            const LoadedCluster* cluster = wave_resident_[item.cluster];
-            if (cluster != nullptr) {
-              Compute().sub_searches->Add(1);
-              search_one(w, item, cluster);
-            }
-          }
-        });
-      } else {
-        for (size_t w = 0; w < wave.work.size(); ++w) {
-          const WorkItem& item = wave.work[w];
-          if (prunable(item)) {
-            pruned_searches.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (failed_cluster(item.cluster)) continue;  // degraded, status set above
-          const LoadedCluster* cluster = wave_resident_[item.cluster];
-          if (cluster == nullptr) return Status::Internal("wave cluster not resident");
-          telemetry::TraceScope item_scope(trace_ctx_, "query.sub",
-                                           static_cast<uint32_t>(item.query_index));
-          item_scope.set_args(item.cluster);
-          Compute().sub_searches->Add(1);
-          search_one(w, item, cluster);
-        }
+      const LoadedCluster* resident = loaded.front().second.get();
+      std::vector<RerankTask> tasks;
+      if (options_.payload == PayloadMode::kPqRerank) {
+        tasks.push_back(RerankTask{.cluster = cluster, .loaded = resident, .query_row = row});
       }
-      result.breakdown.pruned_searches += pruned_searches.load();
+      SearchResident(*resident, batch->queries[row], *batch, &heap,
+                     tasks.empty() ? nullptr : &tasks.back().cands);
       result.breakdown.sub_us += sub_timer.elapsed_us();
-      sub_scope.Close();
-
-      // Exact re-rank of this wave's ADC survivors. Runs on the owner thread
-      // after every sub-search finished (its READs must not interleave with
-      // pool-thread work); `fresh`'s shared_ptrs and the untouched cache keep
-      // every `loaded` pointer alive until the heaps are updated.
-      if (payload == PayloadMode::kPqRerank) {
-        std::vector<RerankTask> tasks;
-        for (size_t w = 0; w < wave.work.size(); ++w) {
-          if (item_cands[w].empty()) continue;
-          const WorkItem& item = wave.work[w];
-          tasks.emplace_back();
-          tasks.back().cluster = item.cluster;
-          tasks.back().loaded = wave_resident_[item.cluster];
-          tasks.back().query_row = begin + item.query_index;
-          tasks.back().heap = item.query_index;
-          tasks.back().cands = std::move(item_cands[w]);
-        }
-        RunRerank(queries, tasks, heaps, &result.breakdown);
+      if (!tasks.empty()) {
+        RunRerank(batch->queries, tasks, std::span<TopKHeap>(&heap, 1), &result.breakdown);
       }
     }
+    result.results[i] = heap.TakeSorted();
+  }
+  return Status::Ok();
+}
 
-    {
-      telemetry::TraceScope finalize_scope(trace_ctx_, "stage.finalize");
-      for (size_t i = 0; i < count; ++i) result.results[i] = heaps[i].TakeSorted();
+BatchPlan ComputeNode::PlanStage(BatchState* batch) {
+  // --- query-aware batched loading (§3.3) ---
+  telemetry::TraceScope plan_scope(trace_ctx_, "stage.plan");
+  BatchPlan plan = PlanBatch(
+      batch->routes, [this](uint32_t c) { return cache_.Contains(c); },
+      options_.cache_capacity);
+  plan_scope.set_args(plan.unique_clusters, plan.cache_hits);
+  batch->result.breakdown.cache_hits = plan.cache_hits;
+  Compute().cache_hit_clusters->Add(plan.cache_hits);
+  return plan;
+}
+
+void ComputeNode::SearchResident(const LoadedCluster& cluster, std::span<const float> q,
+                                 const BatchState& batch, TopKHeap* heap,
+                                 std::vector<Scored>* rerank_cands) const {
+  const Metric metric = options_.sub_hnsw_template.metric;
+  if (options_.payload == PayloadMode::kRaw) {
+    cluster.Search(q, batch.k, batch.ef_search, metric, options_.sub_search, heap);
+  } else {
+    cluster.SearchPq(q, batch.k, batch.ef_search, metric, options_.sub_search,
+                     options_.rerank_depth, rerank_cands, heap);
+  }
+}
+
+bool ComputeNode::Prunable(const BatchState& batch, const WorkItem& item) const {
+  // Under L2 the stored distances are squared; the sound bound uses true
+  // distances with the cluster's covering radius:
+  //   any member distance >= dist(q, rep) - radius,
+  // so prune when (dist(q,rep) - radius) > factor * kth_best. Non-L2
+  // metrics lack the triangle inequality; fall back to comparing raw
+  // representative scores.
+  const double prune = options_.adaptive_prune_factor;
+  if (prune <= 0.0) return false;
+  const TopKHeap& heap = batch.heaps[item.query_index];
+  if (!heap.full()) return false;
+  // The pair's representative distance — b is small, a linear scan beats a
+  // hash map here. An unrouted pair (shouldn't happen) is never pruned.
+  double rd = 0.0;
+  for (const Scored& s : batch.routes_scored[item.query_index]) {
+    if (s.id == item.cluster) {
+      rd = static_cast<double>(s.distance);
+      break;
+    }
+  }
+  if (options_.sub_hnsw_template.metric == Metric::kL2) {
+    const double bound = std::sqrt(std::max(rd, 0.0)) - table_[item.cluster].radius;
+    return bound > prune * std::sqrt(std::max<double>(heap.worst(), 0.0));
+  }
+  return rd > prune * static_cast<double>(heap.worst());
+}
+
+bool ComputeNode::LoadFailed(const std::vector<FailedLoad>& failures, uint32_t cluster) {
+  return std::any_of(failures.begin(), failures.end(),
+                     [cluster](const FailedLoad& fl) { return fl.cluster == cluster; });
+}
+
+Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
+  batch->heaps.reserve(batch->count);
+  for (size_t i = 0; i < batch->count; ++i) batch->heaps.emplace_back(batch->k);
+
+  // Pipelined wave execution: with pipeline_depth >= 2 (and pruning off —
+  // prune masks depend on heap state the previous wave has not produced
+  // yet), each wave's cluster READs are posted before the previous wave's
+  // sub-searches start, and drain + decode on the prefetch worker while
+  // those searches run. Issue/reap keeps all fabric accounting on this
+  // thread in the blocking path's exact order, so results, statuses, the
+  // cache, and the simulated timeline are bit-identical either way.
+  // kPqRerank also falls back to sequential: its owner-thread re-rank
+  // READs would interleave with a prefetched wave's WR sequence, breaking
+  // the deterministic fabric-op order replay and fault tests rely on.
+  const bool pruning = options_.adaptive_prune_factor > 0.0;
+  const bool pipelined = options_.pipeline_depth >= 2 && !pruning &&
+                         options_.payload != PayloadMode::kPqRerank;
+
+  // Adaptive pruning: elide a cluster's load entirely when every query
+  // that wanted it already has a full top-k that its representative
+  // cannot beat (cf. learned early termination [12]).
+  std::vector<uint8_t> load_wanted;
+  auto wanted_for = [&](const LoadWave& wave) -> const std::vector<uint8_t>* {
+    if (!pruning) return nullptr;
+    load_wanted.assign(table_.size(), 0);
+    for (const WorkItem& item : wave.work) {
+      if (!Prunable(*batch, item)) load_wanted[item.cluster] = 1;
+    }
+    return &load_wanted;
+  };
+
+  std::unique_ptr<WaveLoadState> inflight;
+  // A failing batch must not leave a posted-but-unreaped prefetch on the
+  // QP: the next batch would inherit its WRs and completions.
+  struct InflightDrain {
+    ComputeNode* node;
+    std::unique_ptr<WaveLoadState>* inflight;
+    ~InflightDrain() {
+      if (*inflight != nullptr) node->AbandonPrefetch(inflight->get());
+    }
+  } drain_guard{this, &inflight};
+
+  for (size_t wv = 0; wv < plan.waves.size(); ++wv) {
+    const LoadWave& wave = plan.waves[wv];
+    if (inflight == nullptr) {
+      inflight = IssueWaveLoads(wave, wanted_for(wave), pipelined, &batch->result.breakdown);
+    }
+    FreshLoads fresh;
+    std::vector<FailedLoad> failures;
+    DHNSW_RETURN_IF_ERROR(LoadStage(wave, inflight.get(), &fresh, &failures, batch));
+    inflight.reset();
+    // One wave ahead (double-buffered): the next wave's misses post now and
+    // drain on the prefetch worker while this wave's sub-searches run.
+    if (pipelined && wv + 1 < plan.waves.size()) {
+      inflight = IssueWaveLoads(plan.waves[wv + 1], nullptr, true, &batch->result.breakdown);
+    }
+    DHNSW_RETURN_IF_ERROR(SubStage(wave, failures, batch));
+  }
+  return Status::Ok();
+}
+
+Status ComputeNode::LoadStage(const LoadWave& wave, WaveLoadState* inflight,
+                              FreshLoads* fresh, std::vector<FailedLoad>* failures,
+                              BatchState* batch) {
+  telemetry::TraceScope load_scope(trace_ctx_, "stage.load");
+  load_scope.set_args(inflight->to_load.size(), wave.work.size());
+  DHNSW_RETURN_IF_ERROR(ReapWaveLoads(inflight, fresh, &batch->result.breakdown,
+                                      options_.partial_results ? failures : nullptr));
+  // Graceful degradation: a permanently failed cluster poisons only the
+  // queries routed to it — they keep candidates from their other clusters
+  // and carry the failure in their per-query status.
+  if (!failures->empty()) {
+    for (const WorkItem& item : wave.work) {
+      Status& status = batch->result.statuses[item.query_index];
+      if (!status.ok()) continue;
+      const auto f = std::find_if(
+          failures->begin(), failures->end(),
+          [&item](const FailedLoad& fl) { return fl.cluster == item.cluster; });
+      if (f != failures->end()) status = f->status;
     }
   }
 
+  // Wave-local resident map, built once on the owner thread: O(1) lookup
+  // per work item and exactly one cache probe per unique cluster, so pool
+  // workers never touch the LRU (whose Get splices the recency list).
+  wave_resident_.assign(table_.size(), nullptr);
+  wave_probed_.assign(table_.size(), 0);
+  for (const auto& [id, ptr] : *fresh) {
+    wave_resident_[id] = ptr.get();
+    wave_probed_[id] = 1;
+  }
+  for (const WorkItem& item : wave.work) {
+    if (wave_probed_[item.cluster] != 0) continue;
+    // Pruned items never touched the cache before; keep it that way
+    // (Prunable is monotone, so an item pruned now stays pruned).
+    if (Prunable(*batch, item)) continue;
+    wave_probed_[item.cluster] = 1;
+    if (LoadFailed(*failures, item.cluster)) continue;
+    LoadedClusterPtr* hit = cache_.Get(item.cluster);
+    wave_resident_[item.cluster] = hit == nullptr ? nullptr : hit->get();
+  }
+  return Status::Ok();
+}
+
+Status ComputeNode::SubStage(const LoadWave& wave, const std::vector<FailedLoad>& failures,
+                             BatchState* batch) {
+  WallTimer sub_timer;
+  telemetry::TraceScope sub_scope(trace_ctx_, "stage.sub");
+  sub_scope.set_args(wave.work.size());
+  const std::vector<WorkItem>& work = wave.work;
+  const bool rerank = options_.payload == PayloadMode::kPqRerank;
+
+  // Work items are grouped by query, so a query's group is one unit of pool
+  // work and each heap keeps a single owner. Group g is the item range
+  // [starts[g], starts[g + 1]).
+  std::vector<size_t> starts;
+  for (size_t w = 0; w < work.size(); ++w) {
+    if (w == 0 || work[w].query_index != work[w - 1].query_index) starts.push_back(w);
+  }
+  starts.push_back(work.size());
+  // Workers time each searched item into its own slot; the owner appends the
+  // "query.sub" spans in item order after the join (single-writer buffer).
+  constexpr uint64_t kNotSearched = UINT64_MAX;
+  const bool traced = trace_ctx_.enabled();
+  std::vector<uint64_t> item_wall(traced ? work.size() : 0, kNotSearched);
+  // kPqRerank: per-work-item ADC survivor lists, filled by the searches and
+  // drained by the owner-thread re-rank.
+  std::vector<std::vector<Scored>> item_cands(rerank ? work.size() : 0);
+  std::atomic<uint64_t> pruned_searches{0};
+  std::atomic<bool> not_resident{false};
+
+  ForChunks(starts.size() - 1, 1, [&](size_t first, size_t last) {
+    for (size_t w = starts[first]; w < starts[last]; ++w) {
+      const WorkItem& item = work[w];
+      if (Prunable(*batch, item)) {
+        pruned_searches.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (LoadFailed(failures, item.cluster)) continue;  // degraded at load
+      const LoadedCluster* cluster = wave_resident_[item.cluster];
+      if (cluster == nullptr) {
+        not_resident.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const WallTimer timer;
+      Compute().sub_searches->Add(1);
+      SearchResident(*cluster, batch->queries[batch->begin + item.query_index], *batch,
+                     &batch->heaps[item.query_index],
+                     item_cands.empty() ? nullptr : &item_cands[w]);
+      if (traced) item_wall[w] = timer.elapsed_ns();
+    }
+  });
+  for (size_t w = 0; w < item_wall.size(); ++w) {
+    if (item_wall[w] == kNotSearched) continue;
+    trace_ctx_.Span("query.sub", work[w].query_index, item_wall[w], work[w].cluster);
+  }
+  if (not_resident.load()) return Status::Internal("wave cluster not resident");
+  batch->result.breakdown.pruned_searches += pruned_searches.load();
+  batch->result.breakdown.sub_us += sub_timer.elapsed_us();
+  sub_scope.Close();
+
+  // Exact re-rank of this wave's ADC survivors. Runs on the owner thread
+  // after every sub-search finished (its READs must not interleave with
+  // pool-thread work); the caller's FreshLoads and the untouched cache keep
+  // every `loaded` pointer alive until the heaps are updated.
+  if (rerank) {
+    std::vector<RerankTask> tasks;
+    for (size_t w = 0; w < work.size(); ++w) {
+      if (item_cands[w].empty()) continue;
+      const WorkItem& item = work[w];
+      tasks.push_back(RerankTask{.cluster = item.cluster,
+                                 .loaded = wave_resident_[item.cluster],
+                                 .query_row = batch->begin + item.query_index,
+                                 .heap = item.query_index,
+                                 .cands = std::move(item_cands[w])});
+    }
+    RunRerank(batch->queries, tasks, batch->heaps, &batch->result.breakdown);
+  }
+  return Status::Ok();
+}
+
+void ComputeNode::FinalizeStage(BatchState* batch) {
+  telemetry::TraceScope finalize_scope(trace_ctx_, "stage.finalize");
+  for (size_t i = 0; i < batch->count; ++i) {
+    batch->result.results[i] = batch->heaps[i].TakeSorted();
+  }
+}
+
+void ComputeNode::RecordBatch(const rdma::QpStats& stats_before, BatchBreakdown* breakdown) {
   const rdma::QpStats delta = qp_.stats() - stats_before;
-  result.breakdown.network_us = static_cast<double>(delta.sim_network_ns) / 1e3;
-  result.breakdown.round_trips = delta.round_trips;
+  breakdown->network_us = static_cast<double>(delta.sim_network_ns) / 1e3;
+  breakdown->round_trips = delta.round_trips;
 
   const ComputeInstruments& metrics = Compute();
   metrics.batches->Add(1);
-  metrics.queries->Add(count);
-  metrics.cluster_loads->Add(result.breakdown.clusters_loaded);
-  metrics.bytes_loaded->Add(result.breakdown.bytes_read);
-  metrics.pruned_loads->Add(result.breakdown.pruned_loads);
-  metrics.pruned_searches->Add(result.breakdown.pruned_searches);
-  metrics.retries->Add(result.breakdown.retries);
-  metrics.failed_loads->Add(result.breakdown.failed_loads);
-  metrics.backoff_ns->Add(result.breakdown.backoff_ns);
-  metrics.rerank_candidates->Add(result.breakdown.rerank_candidates);
-  metrics.rerank_reads->Add(result.breakdown.rerank_reads);
-  metrics.rerank_bytes->Add(result.breakdown.rerank_bytes);
-  metrics.rerank_fallbacks->Add(result.breakdown.rerank_fallbacks);
+  metrics.queries->Add(breakdown->num_queries);
+  metrics.cluster_loads->Add(breakdown->clusters_loaded);
+  metrics.bytes_loaded->Add(breakdown->bytes_read);
+  metrics.pruned_loads->Add(breakdown->pruned_loads);
+  metrics.pruned_searches->Add(breakdown->pruned_searches);
+  metrics.retries->Add(breakdown->retries);
+  metrics.failed_loads->Add(breakdown->failed_loads);
+  metrics.backoff_ns->Add(breakdown->backoff_ns);
+  metrics.rerank_candidates->Add(breakdown->rerank_candidates);
+  metrics.rerank_reads->Add(breakdown->rerank_reads);
+  metrics.rerank_bytes->Add(breakdown->rerank_bytes);
+  metrics.rerank_fallbacks->Add(breakdown->rerank_fallbacks);
   metrics.batch_round_trips->Record(delta.round_trips);
   metrics.batch_network_ns->Record(delta.sim_network_ns);
-  return result;
 }
 
 Result<InsertReceipt> ComputeNode::AppendRecords(uint32_t partition,

@@ -66,7 +66,10 @@ struct ComputeOptions {
   uint32_t cache_capacity = 8;      ///< c: clusters the DRAM cache holds
   uint32_t doorbell_batch = 16;     ///< D: max READ WRs coalesced per ring
   uint32_t ef_meta = 32;            ///< ef for meta-HNSW routing
-  size_t search_threads = 1;        ///< intra-instance search parallelism
+  /// Intra-instance parallelism of SearchBatch: the route stage (meta-HNSW
+  /// descent) and the sub-searches run on a node-owned pool of this many
+  /// threads. 1 runs both inline on the caller and never starts the pool.
+  size_t search_threads = 1;
   /// Pipelined wave execution (DESIGN.md §10): 0/1 runs waves sequentially
   /// (load wave N, then search it — the seed behaviour); >= 2 double-buffers
   /// the executor — while wave N's sub-searches run, wave N+1's deduped
@@ -297,6 +300,9 @@ class ComputeNode {
                   std::vector<Scored>* rerank_cands, TopKHeap* out) const;
   };
   using LoadedClusterPtr = std::shared_ptr<const LoadedCluster>;
+  /// (cluster, resident copy) pairs a load produced. Holding them keeps the
+  /// clusters alive for a whole wave even if the cache evicts one.
+  using FreshLoads = std::vector<std::pair<uint32_t, LoadedClusterPtr>>;
 
   /// Reads one cluster (blob + used overflow) into a fresh buffer and posts
   /// nothing — the caller controls doorbell grouping via `qp_.PostRead`.
@@ -330,10 +336,8 @@ class ComputeNode {
   /// per options_.retry with backoff charged to the clock. Loads that still
   /// fail are reported in `failed` when non-null (graceful degradation) or
   /// fail the call with the first error when `failed` is null.
-  Status LoadClusters(std::span<const uint32_t> ids,
-                      std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                      BatchBreakdown* breakdown,
-                      std::vector<FailedLoad>* failed = nullptr);
+  Status LoadClusters(std::span<const uint32_t> ids, FreshLoads* out,
+                      BatchBreakdown* breakdown, std::vector<FailedLoad>* failed = nullptr);
 
   /// Mutable state of one LoadClusters retry sequence. Shared between the
   /// blocking path (RunLoadRounds drives every round) and the pipelined reap,
@@ -382,8 +386,7 @@ class ComputeNode {
   void ProcessLoadRound(std::vector<PendingLoad>& pending,
                         const std::vector<std::pair<uint32_t, Status>>& read_errors,
                         std::vector<Result<LoadedClusterPtr>>* predecoded,
-                        LoadRoundState* state,
-                        std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
+                        LoadRoundState* state, FreshLoads* out,
                         BatchBreakdown* breakdown, std::vector<uint32_t>* next_round);
   /// Retry gate after a failed round: consumes budget, charges backoff, and
   /// records the accounting/trace event. False = give up (errors stand).
@@ -391,13 +394,10 @@ class ComputeNode {
                         BatchBreakdown* breakdown);
   /// Runs post/ring/drain/process rounds until `state->remaining` is empty or
   /// the retry budget refuses.
-  void RunLoadRounds(LoadRoundState* state,
-                     std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                     BatchBreakdown* breakdown);
+  void RunLoadRounds(LoadRoundState* state, FreshLoads* out, BatchBreakdown* breakdown);
   /// Final error attribution: abandoned clusters either fail the call (strict
   /// mode, `failed` null) or are reported for per-query degradation.
-  Status FinalizeLoads(LoadRoundState* state,
-                       const std::vector<std::pair<uint32_t, LoadedClusterPtr>>& out,
+  Status FinalizeLoads(LoadRoundState* state, const FreshLoads& out,
                        BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
 
   /// Computes a wave's miss list (cache checks + hit/miss accounting) and, on
@@ -412,8 +412,7 @@ class ComputeNode {
   /// the whole blocking load when the wave was not issued asynchronously.
   /// Retry rounds after a prefetched round run synchronously right here, so
   /// recovery semantics match the blocking path exactly.
-  Status ReapWaveLoads(WaveLoadState* wave_load,
-                       std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
+  Status ReapWaveLoads(WaveLoadState* wave_load, FreshLoads* out,
                        BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
   /// Early-exit cleanup: joins + reaps an in-flight prefetch whose results
   /// will never be consumed, keeping the QP/CQ consistent for the next batch.
@@ -444,10 +443,63 @@ class ComputeNode {
     }
   }
 
-  Status NaiveSearch(const VectorSet& queries, size_t begin, size_t count, size_t k,
-                     uint32_t ef_search,
-                     const std::vector<std::vector<uint32_t>>& routes,
-                     BatchResult* result);
+  /// One SearchBatch call's working state, threaded through its stages.
+  struct BatchState {
+    const VectorSet& queries;
+    size_t begin = 0;  ///< row of query 0 in `queries`
+    size_t count = 0;
+    size_t k = 0;
+    uint32_t ef_search = 0;
+    std::vector<std::vector<Scored>> routes_scored = {};  ///< per query, best first
+    std::vector<std::vector<uint32_t>> routes = {};       ///< the ids of routes_scored
+    std::vector<TopKHeap> heaps = {};                     ///< per-query running top-k
+    BatchResult result = {};
+  };
+
+  // --- SearchBatch stages, in call order (DESIGN.md §10). Each opens its
+  // own disjoint "stage.*" span under the batch umbrella. ---
+  /// stage.refresh: re-reads the offset table under options_.retry.
+  Status RefreshStage(BatchBreakdown* breakdown);
+  /// stage.meta: routes every query to its b sub-HNSWs, on the search pool.
+  void RouteStage(BatchState* batch);
+  /// stage.naive (kNaive only): one READ round trip per (query, cluster)
+  /// pair, no dedup, no cache, no doorbell.
+  Status NaiveStage(BatchState* batch);
+  /// stage.plan: dedups the routes into cache-bounded load waves (§3.3).
+  BatchPlan PlanStage(BatchState* batch);
+  /// The waves: each loads (stage.load) and then searches (stage.sub) its
+  /// work, with the next wave's READs prefetched when pipelined.
+  Status RunWaves(const BatchPlan& plan, BatchState* batch);
+  /// stage.load: makes the wave's clusters resident, degrades the queries of
+  /// clusters that failed for good, and builds the wave's resident map.
+  Status LoadStage(const LoadWave& wave, WaveLoadState* inflight, FreshLoads* fresh,
+                   std::vector<FailedLoad>* failures, BatchState* batch);
+  /// stage.sub (+ stage.rerank): the one sub-search loop, over query groups
+  /// on the search pool.
+  Status SubStage(const LoadWave& wave, const std::vector<FailedLoad>& failures,
+                  BatchState* batch);
+  /// stage.finalize: sorts each query's heap into its result.
+  void FinalizeStage(BatchState* batch);
+  /// Network accounting and the always-on compute instruments of one batch.
+  void RecordBatch(const rdma::QpStats& stats_before, BatchBreakdown* breakdown);
+
+  /// Runs `fn(first, last)` over [0, n) in chunks of at most `grain`: on the
+  /// search pool when search_threads > 1, else inline on the caller in one
+  /// call, so a single-threaded node never starts a pool thread.
+  void ForChunks(size_t n, size_t grain, const std::function<void(size_t, size_t)>& fn);
+
+  /// Searches one resident cluster for `q` into `heap`, per options_.payload.
+  /// With pq+rerank, `rerank_cands` collects the ADC survivors to re-rank;
+  /// it is null for the other payloads.
+  void SearchResident(const LoadedCluster& cluster, std::span<const float> q,
+                      const BatchState& batch, TopKHeap* heap,
+                      std::vector<Scored>* rerank_cands) const;
+  /// Adaptive pruning (options_.adaptive_prune_factor > 0): whether `item`
+  /// can be skipped because its query's full top-k beats anything the
+  /// cluster can hold. Monotone: once true it stays true for the batch.
+  bool Prunable(const BatchState& batch, const WorkItem& item) const;
+  /// Whether `cluster` is among a wave's abandoned loads.
+  static bool LoadFailed(const std::vector<FailedLoad>& failures, uint32_t cluster);
 
   /// Cache weight of a load: its transfer size under a byte budget, 1 entry
   /// otherwise.
@@ -462,7 +514,7 @@ class ComputeNode {
     const LoadedCluster* loaded = nullptr;
     size_t query_row = 0;  ///< row in the batch's VectorSet
     size_t heap = 0;       ///< index into the heaps span
-    std::vector<Scored> cands;  ///< local ids + ADC distances
+    std::vector<Scored> cands = {};  ///< local ids + ADC distances
   };
   /// Exact re-rank (payload=pq+rerank): dedups the tasks' candidates into
   /// unique (cluster, local id) raw-vector READs, posts them doorbell-batched

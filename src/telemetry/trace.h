@@ -106,9 +106,18 @@ struct TraceContext {
   /// Records an instantaneous event.
   void Event(const char* name, uint32_t query = TraceEvent::kNoQuery, uint64_t a = 0,
              uint64_t b = 0) const noexcept {
+    Span(name, query, 0, a, b);
+  }
+
+  /// Records a span whose work another thread timed (`wall_ns`): the
+  /// buffer's single writer appends it after the join, stamped with the
+  /// current simulated time. For work that advances no simulated time
+  /// (routing, sub-search) that equals what an in-place TraceScope records.
+  void Span(const char* name, uint32_t query, uint64_t wall_ns, uint64_t a = 0,
+            uint64_t b = 0) const noexcept {
     if (!enabled()) return;
     const uint64_t now = now_ns();
-    buffer->Append(TraceEvent{name, batch, query, now, now, 0, a, b});
+    buffer->Append(TraceEvent{name, batch, query, now, now, wall_ns, a, b});
   }
 };
 

@@ -78,26 +78,28 @@ TEST(ChaosDeterminismTest, DifferentPlanSeedsGiveDifferentSchedules) {
   EXPECT_NE(a.sim_ns, b.sim_ns);
 }
 
+/// Wall-free JSONL trace of one transient-fault chaos run.
+std::string TracedRun(uint64_t plan_seed, size_t search_threads = 1) {
+  ChaosHarness h({.transport = rdma::TransportOptions::Sim()});
+  h.engine().compute(0).mutable_options()->search_threads = search_threads;
+  h.engine().EnableTracing(1 << 16);
+  RetryPolicy retry = RetryPolicy::Default();
+  retry.max_attempts = ChaosHarness::kTransientTriggerBudget + 4;
+  auto run = h.RunUnderPlan(h.MakeTransientPlan(plan_seed), retry, false);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  const telemetry::TraceBuffer& trace = h.engine().compute(0).trace();
+  EXPECT_GT(trace.size(), 0u);
+  EXPECT_EQ(trace.dropped(), 0u);
+  return TraceToJsonl(trace, telemetry::TraceExportOptions{.include_wall = false});
+}
+
 // The trace subsystem must inherit the same determinism: a chaos run's span
 // log (in the wall-free export form) is a pure function of the seeds. Two
 // fresh deployments replaying the same plan must serialize byte-identical
 // JSONL — this is what CI byte-compares and archives.
 TEST(ChaosDeterminismTest, TraceJsonlIsByteIdenticalAcrossSameSeedRuns) {
-  const auto run_traced = [](uint64_t plan_seed) {
-    ChaosHarness h({.transport = rdma::TransportOptions::Sim()});
-    h.engine().EnableTracing(1 << 16);
-    RetryPolicy retry = RetryPolicy::Default();
-    retry.max_attempts = ChaosHarness::kTransientTriggerBudget + 4;
-    auto run = h.RunUnderPlan(h.MakeTransientPlan(plan_seed), retry, false);
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    const telemetry::TraceBuffer& trace = h.engine().compute(0).trace();
-    EXPECT_GT(trace.size(), 0u);
-    EXPECT_EQ(trace.dropped(), 0u);
-    return TraceToJsonl(trace, telemetry::TraceExportOptions{.include_wall = false});
-  };
-
-  const std::string first = run_traced(31);
-  const std::string second = run_traced(31);
+  const std::string first = TracedRun(31);
+  const std::string second = TracedRun(31);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second) << "same-seed chaos traces diverged";
 
@@ -110,7 +112,7 @@ TEST(ChaosDeterminismTest, TraceJsonlIsByteIdenticalAcrossSameSeedRuns) {
   EXPECT_EQ(first.find("wall_ns"), std::string::npos);
 
   // A different schedule perturbs simulated time, so the trace differs.
-  const std::string other = run_traced(32);
+  const std::string other = TracedRun(32);
   EXPECT_NE(first, other);
 
   // CI artifact hook: archive the canonical trace when the env var is set.
@@ -120,6 +122,19 @@ TEST(ChaosDeterminismTest, TraceJsonlIsByteIdenticalAcrossSameSeedRuns) {
     ASSERT_NE(f, nullptr) << path;
     ASSERT_EQ(std::fwrite(first.data(), 1, first.size(), f), first.size());
     ASSERT_EQ(std::fclose(f), 0);
+  }
+}
+
+// Pool workers only time the per-query routing and per-item sub-search
+// spans; the owner appends them in order after each join. So the trace,
+// those spans included, does not depend on how many threads did the work.
+TEST(ChaosDeterminismTest, TraceJsonlIsByteIdenticalAcrossSearchThreadCounts) {
+  const std::string serial = TracedRun(31, 1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_NE(serial.find("\"query.meta\""), std::string::npos);
+  EXPECT_NE(serial.find("\"query.sub\""), std::string::npos);
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    EXPECT_EQ(serial, TracedRun(31, threads)) << "search_threads " << threads;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/engine.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
@@ -188,6 +190,22 @@ TEST_F(ComputeNodeTest, InvalidateCacheForcesReload) {
 TEST_F(ComputeNodeTest, BatchRangeOutOfBoundsFails) {
   auto node = Attach(BaseOptions(EngineMode::kFull));
   EXPECT_FALSE(node->SearchBatch(ds_->queries, 30, 20, 10, 32).ok());
+}
+
+TEST_F(ComputeNodeTest, BatchRangeCheckDoesNotWrap) {
+  // begin + count wraps to 0 or nearly so: a check written as a sum lets
+  // these through and routes rows outside the query buffer.
+  auto node = Attach(BaseOptions(EngineMode::kFull));
+  EXPECT_EQ(node->SearchBatch(ds_->queries, SIZE_MAX, 1, 10, 48).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(node->SearchBatch(ds_->queries, 1, SIZE_MAX, 10, 48).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(node->SearchBatch(ds_->queries, ds_->queries.size() + 1, 0, 10, 48)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The empty range at the end is in bounds.
+  EXPECT_TRUE(node->SearchBatch(ds_->queries, ds_->queries.size(), 0, 10, 48).ok());
 }
 
 TEST_F(ComputeNodeTest, DimMismatchFails) {

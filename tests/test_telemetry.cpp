@@ -259,42 +259,48 @@ TEST(TelemetryEngineTest, CacheHitsPlusMissesEqualUniqueClustersRequested) {
 TEST(TelemetryEngineTest, StageSpansCoverBatchLatency) {
   Dataset ds = MakeSynthetic({.dim = 32, .num_base = 4000, .num_queries = 200,
                               .num_clusters = 8, .seed = 212});
-  DhnswConfig config = DhnswConfig::Defaults();
-  config.meta.num_representatives = 10;
-  config.sub_hnsw = HnswOptions{.M = 12, .ef_construction = 60};
-  config.compute.clusters_per_query = 3;
-  config.compute.cache_capacity = 10;
-  auto engine = DhnswEngine::Build(ds.base, config);
-  ASSERT_TRUE(engine.ok());
+  // At 4 threads the route and sub-search stages run on the search pool;
+  // their spans must still cover the batch.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "search_threads " << threads);
+    DhnswConfig config = DhnswConfig::Defaults();
+    config.meta.num_representatives = 10;
+    config.sub_hnsw = HnswOptions{.M = 12, .ef_construction = 60};
+    config.compute.clusters_per_query = 3;
+    config.compute.cache_capacity = 10;
+    config.compute.search_threads = threads;
+    auto engine = DhnswEngine::Build(ds.base, config);
+    ASSERT_TRUE(engine.ok());
 
-  engine.value().EnableTracing(1 << 16);
-  ASSERT_TRUE(engine.value().SearchAll(ds.queries, 10, 64).ok());
+    engine.value().EnableTracing(1 << 16);
+    ASSERT_TRUE(engine.value().SearchAll(ds.queries, 10, 64).ok());
 
-  const telemetry::TraceBuffer& trace = engine.value().trace(0);
-  ASSERT_GT(trace.size(), 0u);
-  ASSERT_EQ(trace.dropped(), 0u);
+    const telemetry::TraceBuffer& trace = engine.value().trace(0);
+    ASSERT_GT(trace.size(), 0u);
+    ASSERT_EQ(trace.dropped(), 0u);
 
-  uint64_t batch_wall = 0, batch_sim = 0;
-  uint64_t stage_wall = 0, stage_sim = 0;
-  for (const TraceEvent& e : trace.events()) {
-    const std::string_view name(e.name);
-    if (name == "batch") {
-      batch_wall += e.wall_ns;
-      batch_sim += e.sim_end_ns - e.sim_start_ns;
-    } else if (name.rfind("stage.", 0) == 0) {
-      stage_wall += e.wall_ns;
-      stage_sim += e.sim_end_ns - e.sim_start_ns;
+    uint64_t batch_wall = 0, batch_sim = 0;
+    uint64_t stage_wall = 0, stage_sim = 0;
+    for (const TraceEvent& e : trace.events()) {
+      const std::string_view name(e.name);
+      if (name == "batch") {
+        batch_wall += e.wall_ns;
+        batch_sim += e.sim_end_ns - e.sim_start_ns;
+      } else if (name.rfind("stage.", 0) == 0) {
+        stage_wall += e.wall_ns;
+        stage_sim += e.sim_end_ns - e.sim_start_ns;
+      }
     }
+    ASSERT_GT(batch_wall, 0u);
+    // Simulated time only advances inside fabric operations, all of which
+    // sit under a stage span — coverage is exact.
+    EXPECT_EQ(stage_sim, batch_sim);
+    // Wall time has small out-of-stage gaps (heap setup, wave bookkeeping,
+    // metric flushes); they must stay under 5% of the batch.
+    EXPECT_GE(static_cast<double>(stage_wall), 0.95 * static_cast<double>(batch_wall))
+        << "stages cover only " << 100.0 * static_cast<double>(stage_wall) /
+               static_cast<double>(batch_wall) << "% of the batch wall time";
   }
-  ASSERT_GT(batch_wall, 0u);
-  // Simulated time only advances inside fabric operations, all of which sit
-  // under a stage span — coverage is exact.
-  EXPECT_EQ(stage_sim, batch_sim);
-  // Wall time has small out-of-stage gaps (heap setup, wave bookkeeping,
-  // metric flushes); they must stay under 5% of the batch.
-  EXPECT_GE(static_cast<double>(stage_wall), 0.95 * static_cast<double>(batch_wall))
-      << "stages cover only " << 100.0 * static_cast<double>(stage_wall) /
-             static_cast<double>(batch_wall) << "% of the batch wall time";
 }
 
 /// Engine-level snapshot/export plumbing: topology gauges are published and
