@@ -1,11 +1,12 @@
 // CRC-32C (Castagnoli) used to checksum serialized cluster blobs so a torn or
 // corrupt remote read is detected at deserialization time.
 //
-// `Crc32c` runs on the SSE4.2 `crc32` instruction when the CPU has it (one
-// cpuid probe per process) and on a portable table loop otherwise, or when
-// the environment variable `DHNSW_FORCE_SCALAR` is set (the same switch that
-// pins the distance kernels to scalar, index/distance.h). CRC is a pure
-// function: every path returns the same value for the same bytes.
+// `Crc32c` runs on the SSE4.2 `crc32` instruction when the CPU has it (three
+// interleaved chains; one cpuid probe per process) and on a portable table
+// loop otherwise, or when the environment variable `DHNSW_FORCE_SCALAR` is
+// set (the same switch that pins the distance kernels to scalar,
+// index/distance.h). CRC is a pure function: every path returns the same
+// value for the same bytes.
 #pragma once
 
 #include <cstdint>

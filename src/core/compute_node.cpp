@@ -1502,10 +1502,17 @@ Result<InsertReceipt> ComputeNode::AppendRecords(uint32_t partition,
   // Restart. If the slot-0 primary changed, our claim sits behind the
   // revoked rkey — re-run the FAA on the promoted primary (counter deltas
   // already mirrored leak a little overflow space there; readers skip the
-  // uncommitted slots). Same primary (re-replication admission bumped the
-  // epoch): the claim stands, refresh the era and re-issue the fan-out —
+  // uncommitted slots). Same slot-0 primary (a re-replication admission
+  // bumped an epoch, or the records' own slot failed over): the claim
+  // stands, so move it into the current era and re-issue the fan-out —
   // re-writing the same bytes at the same offsets is idempotent.
-  if (RouteFor(0).rkey != faa_rkey) faa_done = false;
+  const SlotRoute ctrl = RouteFor(0);
+  if (ctrl.rkey != faa_rkey) {
+    faa_done = false;
+  } else {
+    faa_epoch = ctrl.epoch;
+    record_epoch = replication_->SlotEpoch(meta.node_slot);
+  }
   }  // era loop
 
   // Local bookkeeping: our cached table entry advances; a cached decoded
@@ -1645,6 +1652,11 @@ Status ComputeNode::ReplicateGroupWrites(uint32_t slot, std::span<const uint64_t
         }
       }
       if (failed.empty()) break;
+      // The primary's reachability failures feed the failure detector, as
+      // the allocation ring's do. When a report tips the slot into failover,
+      // the next round fails its epoch check and the caller restarts the
+      // allocation on the promoted primary.
+      if (primary && IsReachabilityFailure(first_error)) NoteSlotFailure(slot, nullptr);
       if (!IsRetryable(first_error) || !budget.AllowRetry(++failures)) {
         replica_status = std::move(first_error);
         break;

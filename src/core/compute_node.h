@@ -547,8 +547,10 @@ class ComputeNode {
   /// non-dead replica of `slot` as per-replica doorbell rings of interleaved
   /// WRITE / same-ring READ-back pairs; the CRC-carrying record bytes must
   /// read back identical (the per-replica ack). Primary failure fails the
-  /// call; a secondary that cannot ack is reported to the failure detector
-  /// and skipped. Requires an attached manager.
+  /// call, and each of the primary's unreachable rounds is reported through
+  /// NoteSlotFailure, so a primary that dies mid-fan-out fails over; a
+  /// secondary that cannot ack is reported to the failure detector and
+  /// skipped. Requires an attached manager.
   ///
   /// Every WR is fenced with `fence_epoch` — the slot's epoch captured when
   /// the records' offsets were FAA-allocated — NOT a freshly resolved one. A

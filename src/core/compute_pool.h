@@ -195,8 +195,6 @@ class ComputePool {
   void WorkerLoop(Lane* lane);
   void ExecuteOp(Lane* lane, const QueuedOp& item);
   uint32_t PickNode(uint32_t tenant);
-  /// Records a dispatcher-side drop (kPaced admission refusals).
-  void DropOp(size_t index, uint32_t tenant, Status status, uint64_t* stat);
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   ComputePoolOptions options_;
@@ -209,8 +207,7 @@ class ComputePool {
   std::vector<OpOutcome>* run_outcomes_ = nullptr;
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
-  size_t done_count_ = 0;   ///< guarded by done_mutex_
-  size_t done_target_ = 0;  ///< guarded by done_mutex_
+  size_t done_count_ = 0;  ///< guarded by done_mutex_
   bool run_active_ = false;
 
   telemetry::TraceBuffer dispatch_trace_;

@@ -26,6 +26,7 @@ DhnswConfig MakeConfig(const ChaosHarness::Config& c) {
   config.compute.cache_capacity = c.num_clusters;  // one cold load per cluster
   config.replication.factor = c.replication_factor;
   config.num_compute_nodes = c.num_compute_nodes;
+  config.num_memory_nodes = c.num_memory_nodes;
   // FaultPlans arm on every backend since the chaos decorator landed, so the
   // harness follows DHNSW_TRANSPORT by default (content-oracle suites hold
   // on real sockets too). Suites that byte-compare simulated time pin Sim()

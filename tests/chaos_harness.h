@@ -43,6 +43,9 @@ class ChaosHarness {
     /// Compute instances the engine provisions (the scale-out chaos tests
     /// drive a ComputePool over all of them; single-node suites keep 1).
     uint32_t num_compute_nodes = 1;
+    /// Memory shards (slots). Slot 0 always holds the metadata table and
+    /// the overflow counters; partitions spread over every slot.
+    uint32_t num_memory_nodes = 1;
     /// Transport backend. Default (unset kind) honours DHNSW_TRANSPORT, so
     /// chaos suites run against real sockets in the tcp-chaos CI job. Tests
     /// that byte-compare simulated clocks / backoff ns / trace JSONL must

@@ -10,14 +10,16 @@
 //       artifact the failover-chaos CI job archives and byte-compares).
 // Plus: online re-replication restores the factor while search keeps being
 // served, and the restored copy is a real serving replica (it survives a
-// second primary kill). A replicated InsertBatch killed mid-batch commits
-// on the promoted replica, loses no stored row, and replays its trace
-// byte-identically. When every replica of a shard is gone, only
-// allow_partial degrades queries — matching the router policy.
+// second primary kill). A replicated InsertBatch killed mid-batch, between
+// two groups or inside one group's record fan-out, commits on the promoted
+// replica, loses no stored row, and replays its trace byte-identically.
+// When every replica of a shard is gone, only allow_partial degrades
+// queries — matching the router policy.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,22 +179,53 @@ VectorSet OneRowPerPartition(ChaosHarness& h) {
   return rows;
 }
 
-/// InsertBatch of one row per partition with slot 0's primary killed after
-/// four of this node's verbs against it: the first group's FAA + partner
-/// READ and its WRITE/READ-back on the primary. The kill lands on the next
-/// group's allocation ring, mid-batch, whatever order the groups go in.
-/// (A primary that dies inside a group's record fan-out is not reported to
-/// the failure detector, so that call fails UNAVAILABLE without acking and
-/// without failing over; ROADMAP.md tracks the gap.)
-Result<uint32_t> InsertBatchUnderKill(ChaosHarness& h, std::vector<size_t>* rejected) {
-  const VectorSet rows = OneRowPerPartition(h);
+/// `count` nudged base rows that all route to one partition stored on
+/// memory slot `slot`, so an InsertBatch of them is a single group.
+VectorSet RowsOfOnePartition(ChaosHarness& h, size_t count, uint32_t slot = 0) {
+  const ComputeNode& node = h.engine().compute(0);
+  const LayoutPlan& plan = h.engine().memory_node()->plan();
+  std::optional<uint32_t> target;
+  VectorSet rows(node.dim());
+  for (size_t i = 0; i < h.dataset().base.size() && rows.size() < count; ++i) {
+    const std::vector<float> v = Nudged(h.dataset().base[i]);
+    const uint32_t partition = node.meta().RouteOne(v);
+    if (plan.entries[partition].node_slot != slot) continue;
+    if (!target) target = partition;
+    if (partition == *target) rows.Append(v);
+  }
+  return rows;
+}
+
+/// InsertBatch of `rows` with `slot`'s primary killed after the first
+/// group's first WRITE/READ-back pair on it. Allocation (FAA + partner READ)
+/// always runs on slot 0, so on slot 0 that is four of this node's verbs
+/// and on any other slot two. With one row per partition the kill lands on
+/// the next group's allocation ring, whatever order the groups go in; with
+/// a single many-row group it lands inside that group's record fan-out.
+Result<uint32_t> InsertBatchUnderKill(ChaosHarness& h, const VectorSet& rows,
+                                      std::vector<size_t>* rejected, uint32_t slot = 0) {
   ComputeNode& node = h.engine().compute(0);
   node.mutable_options()->retry = FailoverRetry();
-  DHNSW_RETURN_IF_ERROR(h.engine().fabric().ArmFaults(h.MakeKillPrimaryPlan(/*skip_first=*/4)));
+  DHNSW_RETURN_IF_ERROR(h.engine().fabric().ArmFaults(
+      h.MakeKillPrimaryPlan(/*skip_first=*/slot == 0 ? 4 : 2, slot)));
   auto first = h.engine().InsertBatch(rows, rejected);
   h.engine().fabric().ClearFaults();
   node.mutable_options()->retry = RetryPolicy::Disabled();
   return first;
+}
+
+/// Every row is the exact top-1 of its own flat-scan self-query on a cold
+/// cache: ids `first`, `first + 1`, ... were stored and none was lost.
+void ExpectStored(ChaosHarness& h, const VectorSet& rows, uint32_t first) {
+  ComputeNode& node = h.engine().compute(0);
+  node.mutable_options()->sub_search = SubSearchMode::kFlatScan;
+  node.InvalidateCache();
+  auto found = node.SearchAll(rows, 1, h.config().ef_search);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_FALSE(found.value().results[i].empty()) << "row " << i;
+    EXPECT_EQ(found.value().results[i][0].id, first + i) << "row " << i;
+  }
 }
 
 TEST(ChaosFailoverTest, ReplicatedInsertBatchSurvivesPrimaryKill) {
@@ -216,27 +249,57 @@ TEST(ChaosFailoverTest, ReplicatedInsertBatchSurvivesPrimaryKill) {
   // Killed mid-batch: the batch drives the failover and still commits.
   const VectorSet killed = OneRowPerPartition(h);
   std::vector<size_t> killed_rejected;
-  auto killed_first = InsertBatchUnderKill(h, &killed_rejected);
+  auto killed_first = InsertBatchUnderKill(h, killed, &killed_rejected);
   ASSERT_TRUE(killed_first.ok()) << killed_first.status().ToString();
   ASSERT_TRUE(killed_rejected.empty());
   EXPECT_EQ(manager->health(0, 0), ReplicaHealth::kDead);
   EXPECT_GE(manager->SlotEpoch(0), 2u);
 
-  // No lost acks: every row of both batches is the exact top-1 of its own
-  // self-query on the promoted replica.
-  ComputeNode& node = h.engine().compute(0);
-  node.mutable_options()->sub_search = SubSearchMode::kFlatScan;
-  node.InvalidateCache();
-  const auto expect_stored = [&](const VectorSet& rows, uint32_t first) {
-    auto found = node.SearchAll(rows, 1, h.config().ef_search);
-    ASSERT_TRUE(found.ok()) << found.status().ToString();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_FALSE(found.value().results[i].empty()) << "row " << i;
-      EXPECT_EQ(found.value().results[i][0].id, first + i) << "row " << i;
-    }
-  };
-  expect_stored(healthy, healthy_first.value());
-  expect_stored(killed, killed_first.value());
+  // No lost acks: every row of both batches is stored on the promoted replica.
+  ExpectStored(h, healthy, healthy_first.value());
+  ExpectStored(h, killed, killed_first.value());
+}
+
+TEST(ChaosFailoverTest, ReplicatedInsertBatchSurvivesPrimaryKillInsideAGroup) {
+  ChaosHarness h(ReplicatedConfig());
+  ReplicaManager* manager = h.engine().replication();
+  ASSERT_NE(manager, nullptr);
+  const VectorSet rows = RowsOfOnePartition(h, 40);
+  ASSERT_EQ(rows.size(), 40u);
+
+  // The primary dies inside the group's record fan-out. Its failed rounds
+  // feed the failure detector, the slot fails over, and the fenced fan-out
+  // restarts the allocation on the promoted replica.
+  std::vector<size_t> rejected;
+  auto first = InsertBatchUnderKill(h, rows, &rejected);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(rejected.empty());
+  EXPECT_EQ(manager->health(0, 0), ReplicaHealth::kDead);
+  EXPECT_GE(manager->SlotEpoch(0), 2u);
+  ExpectStored(h, rows, first.value());
+}
+
+TEST(ChaosFailoverTest, ShardedInsertBatchSurvivesRecordSlotKillInsideAGroup) {
+  // Two memory slots: the allocation runs on slot 0's primary, the group's
+  // records live on slot 1. Killing slot 1's primary inside the fan-out
+  // fails over slot 1 only; the claim on slot 0 stands, so the fan-out is
+  // re-issued in slot 1's new era without a second FAA.
+  ChaosHarness::Config config = ReplicatedConfig();
+  config.num_memory_nodes = 2;
+  ChaosHarness h(config);
+  ReplicaManager* manager = h.engine().replication();
+  ASSERT_NE(manager, nullptr);
+  const VectorSet rows = RowsOfOnePartition(h, 40, /*slot=*/1);
+  ASSERT_EQ(rows.size(), 40u);
+
+  std::vector<size_t> rejected;
+  auto first = InsertBatchUnderKill(h, rows, &rejected, /*slot=*/1);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(rejected.empty());
+  EXPECT_EQ(manager->health(1, 0), ReplicaHealth::kDead);
+  EXPECT_GE(manager->SlotEpoch(1), 2u);
+  EXPECT_EQ(manager->SlotEpoch(0), 1u);
+  ExpectStored(h, rows, first.value());
 }
 
 TEST(ChaosFailoverTest, InsertBatchKillTraceIsByteIdenticalAcrossSameSeedRuns) {
@@ -246,7 +309,7 @@ TEST(ChaosFailoverTest, InsertBatchKillTraceIsByteIdenticalAcrossSameSeedRuns) {
     ChaosHarness h(config);
     h.engine().EnableTracing(1 << 16);
     std::vector<size_t> rejected;
-    auto first = InsertBatchUnderKill(h, &rejected);
+    auto first = InsertBatchUnderKill(h, OneRowPerPartition(h), &rejected);
     EXPECT_TRUE(first.ok()) << first.status().ToString();
     EXPECT_GE(h.engine().replication()->SlotEpoch(0), 2u);
     const telemetry::TraceExportOptions wall_free{.include_wall = false};

@@ -85,6 +85,49 @@ TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndOffset) {
             Crc32cPortable(std::span<const uint8_t>(big).subspan(3)));
 }
 
+// Input lengths where the SSE4.2 path changes shape: one round of three
+// 256 B blocks, one and two rounds of three 8 KiB blocks, and one round of
+// each tier back to back.
+constexpr size_t kInterleaveSeams[] = {3 * 256, 3 * 8192, 3 * 8192 + 3 * 256, 6 * 8192};
+
+// Every length within 16 bytes of each seam, at every start offset modulo 8,
+// with random seeds.
+TEST(Crc32cTest, HardwareMatchesPortableAtInterleaveSeams) {
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  const std::vector<uint8_t> data = RandomBytes(6 * 8192 + 16 + 8, 29);
+  Xoshiro256 rng(31);
+  for (size_t seam : kInterleaveSeams) {
+    for (size_t len = seam - 16; len <= seam + 16; ++len) {
+      for (size_t offset = 0; offset < 8; ++offset) {
+        const auto s = std::span<const uint8_t>(data).subspan(offset, len);
+        const uint32_t seed = static_cast<uint32_t>(rng.Next());
+        ASSERT_EQ(Crc32cHardware(s, seed), Crc32cPortable(s, seed))
+            << "offset " << offset << " len " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+// Two chained calls whose split lands on or beside a seam must equal the
+// oracle's one call over the whole input.
+TEST(Crc32cTest, HardwareChainedCallsSplitAtInterleaveSeams) {
+  if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+  const std::vector<uint8_t> data = RandomBytes(6 * 8192 + 64 + 8, 37);
+  Xoshiro256 rng(41);
+  for (size_t seam : kInterleaveSeams) {
+    for (int delta : {-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16}) {
+      const size_t split = seam + delta;
+      for (size_t offset = 0; offset < 8; ++offset) {
+        const auto all = std::span<const uint8_t>(data).subspan(offset, 6 * 8192 + 64);
+        const uint32_t seed = static_cast<uint32_t>(rng.Next());
+        const uint32_t head = Crc32cHardware(all.first(split), seed);
+        ASSERT_EQ(Crc32cHardware(all.subspan(split), head), Crc32cPortable(all, seed))
+            << "offset " << offset << " split " << split << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(Crc32cTest, HardwareChainedCallsEqualOneCall) {
   if (!Crc32cHardwareSupported()) GTEST_SKIP() << "no SSE4.2 on this CPU";
   const std::vector<uint8_t> data = RandomBytes(5000, 19);
