@@ -1,5 +1,5 @@
 // Bulk index-build benchmark: wall time of the full d-HNSW build pipeline
-// (k-means, classification, sub-HNSW construction, PQ encode, serialization)
+// (k-means, classification, sub-HNSW construction, serialization)
 // as a function of build_threads, with recall@10 measured on the freshly
 // built system so speed never silently trades away quality.
 //

@@ -47,90 +47,6 @@ void BM_DecodeCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeCluster)->Arg(100)->Arg(400)->Arg(1600)->Unit(benchmark::kMicrosecond);
 
-ProductQuantizer MakePq(uint32_t dim, uint32_t m) {
-  Xoshiro256 rng(dim * 31 + m);
-  std::vector<float> samples(4096ull * dim);
-  for (auto& x : samples) x = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  auto pq = ProductQuantizer::Train(dim, m, samples, 6, 11);
-  if (!pq.ok()) std::abort();
-  return std::move(pq).value();
-}
-
-void BM_PqEncode(benchmark::State& state) {
-  const uint32_t dim = 128;
-  const ProductQuantizer pq = MakePq(dim, 8);
-  Xoshiro256 rng(5);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  std::vector<float> rows(static_cast<size_t>(n) * dim);
-  for (auto& x : rows) x = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  std::vector<uint8_t> codes(static_cast<size_t>(n) * pq.m());
-  for (auto _ : state) {
-    for (uint32_t i = 0; i < n; ++i) {
-      pq.Encode(std::span<const float>(rows).subspan(static_cast<size_t>(i) * dim, dim),
-                std::span<uint8_t>(codes).subspan(static_cast<size_t>(i) * pq.m(), pq.m()));
-    }
-    benchmark::DoNotOptimize(codes.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_PqEncode)->Arg(100)->Arg(1600)->Unit(benchmark::kMicrosecond);
-
-void BM_PqDecodeCodes(benchmark::State& state) {
-  const uint32_t dim = 128;
-  const ProductQuantizer pq = MakePq(dim, 8);
-  Xoshiro256 rng(6);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  std::vector<uint8_t> codes(static_cast<size_t>(n) * pq.m());
-  for (auto& c : codes) c = static_cast<uint8_t>(rng.Next());
-  std::vector<float> rec(dim);
-  for (auto _ : state) {
-    for (uint32_t i = 0; i < n; ++i) {
-      pq.Decode(std::span<const uint8_t>(codes).subspan(
-                    static_cast<size_t>(i) * pq.m(), pq.m()),
-                rec);
-      benchmark::DoNotOptimize(rec.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_PqDecodeCodes)->Arg(100)->Arg(1600)->Unit(benchmark::kMicrosecond);
-
-void BM_DecodePqClusterPrefix(benchmark::State& state) {
-  // The payload=pq hot decode: prefix-only blob -> PqCluster.
-  const uint32_t dim = 128;
-  const uint32_t count = static_cast<uint32_t>(state.range(0));
-  const Cluster cluster = MakeCluster(count, dim);
-  const ProductQuantizer pq = MakePq(dim, 8);
-  std::vector<uint8_t> codes(static_cast<size_t>(count) * pq.m());
-  for (uint32_t i = 0; i < count; ++i) {
-    pq.Encode(cluster.index.vector(i),
-              std::span<uint8_t>(codes).subspan(static_cast<size_t>(i) * pq.m(), pq.m()));
-  }
-  ClusterPqExtensions ext;
-  ext.codes = codes;
-  ext.code_m = pq.m();
-  uint64_t head = 0;
-  const std::vector<uint8_t> blob = EncodeCluster(cluster, ext, &head);
-  const std::span<const uint8_t> prefix = std::span<const uint8_t>(blob).first(head);
-  if (state.thread_index() == 0) {
-    // One-line compressed-vs-raw answer for the bytes-on-the-wire question.
-    state.counters["raw_blob_bytes"] = static_cast<double>(blob.size());
-    state.counters["pq_prefix_bytes"] = static_cast<double>(head);
-    state.counters["wire_ratio"] =
-        static_cast<double>(blob.size()) / static_cast<double>(head);
-  }
-  for (auto _ : state) {
-    auto decoded = DecodePqCluster(prefix);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * head);
-}
-BENCHMARK(BM_DecodePqClusterPrefix)
-    ->Arg(100)
-    ->Arg(400)
-    ->Arg(1600)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_Crc32c(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
   Xoshiro256 rng(3);

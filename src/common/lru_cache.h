@@ -1,22 +1,15 @@
-// Generic weighted LRU cache with entry pinning, used by ComputeNode to hold
-// the most recently loaded sub-HNSW clusters (paper §3.3: "retain the most
+// Generic LRU cache bounded by entry count, used by ComputeNode to hold the
+// most recently loaded sub-HNSW clusters (paper §3.3: "retain the most
 // recently loaded c sub-HNSWs for the next batch").
 //
-// Capacity is a total-*weight* budget. The default weight of 1 per entry
-// gives classic max-entry-count semantics; ComputeNode passes the loaded
-// buffer size instead when a byte budget (cache_budget_bytes) is configured,
-// so compressed (PQ) clusters pack proportionally more entries into the same
-// budget.
-//
-// Pinning exists because within one batch every cluster currently being
-// traversed must stay resident even if it is the least recently used; eviction
-// only considers unpinned entries.
+// Eviction never has to spare an entry: the clusters a batch is traversing
+// stay alive through the shared pointers the batch holds, even if the cache
+// evicts them mid-batch.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <list>
-#include <optional>
 #include <unordered_map>
 
 #include "telemetry/metrics.h"
@@ -26,25 +19,10 @@ namespace dhnsw {
 template <typename K, typename V>
 class LruCache {
  public:
-  /// `capacity` = max total weight (entry count with default weights);
-  /// 0 means caching disabled.
+  /// `capacity` = max entries; 0 means caching disabled.
   explicit LruCache(size_t capacity) : capacity_(capacity) {}
 
-  size_t capacity() const noexcept { return capacity_; }
   size_t size() const noexcept { return map_.size(); }
-  /// Sum of the weights of all resident entries (== size() when every entry
-  /// used the default weight).
-  size_t total_weight() const noexcept { return total_weight_; }
-
-  /// Shrinking below the current weight evicts unpinned entries immediately;
-  /// pinned entries survive, so the total weight may exceed the new capacity
-  /// — but only by the weight of the pinned entries. The remainder of the
-  /// shrink is deferred: it completes as the blocking pins are released (see
-  /// Unpin).
-  void set_capacity(size_t capacity) {
-    capacity_ = capacity;
-    EvictToCapacity();
-  }
 
   bool Contains(const K& key) const { return map_.count(key) != 0; }
 
@@ -80,62 +58,33 @@ class LruCache {
     return it == map_.end() ? nullptr : &it->second.value;
   }
 
-  /// Inserts or overwrites; marks most-recently-used; may evict. Returns a
-  /// pointer to the stored value (valid until eviction). If capacity is 0, or
-  /// the entry alone outweighs the whole budget, the value is not stored and
-  /// nullptr is returned (the caller keeps its own copy for the batch).
-  V* Put(const K& key, V value, size_t weight = 1) {
-    if (capacity_ == 0 || weight > capacity_) return nullptr;
+  /// Inserts or overwrites; marks most-recently-used; may evict the least
+  /// recently used entry. Returns a pointer to the stored value (valid until
+  /// eviction). If capacity is 0 the value is not stored and nullptr is
+  /// returned (the caller keeps its own copy for the batch).
+  V* Put(const K& key, V value) {
+    if (capacity_ == 0) return nullptr;
     auto it = map_.find(key);
     if (it != map_.end()) {
       it->second.value = std::move(value);
-      total_weight_ += weight - it->second.weight;
-      it->second.weight = weight;
       order_.splice(order_.begin(), order_, it->second.order_it);
-      // A heavier replacement can push the cache over budget.
-      ++it->second.pins;
-      EvictToCapacity();
-      --it->second.pins;
       return &it->second.value;
     }
+    if (map_.size() == capacity_) {
+      const K victim = order_.back();  // Erase frees the list node
+      Erase(victim);
+    }
     order_.push_front(key);
-    auto [ins, fresh] =
-        map_.emplace(key, Entry{std::move(value), order_.begin(), 0, weight});
+    auto [ins, fresh] = map_.emplace(key, Entry{std::move(value), order_.begin()});
     assert(fresh);
     (void)fresh;
-    total_weight_ += weight;
     if (entries_gauge_ != nullptr) entries_gauge_->Add(1);
-    // Hold a transient pin so the entry being inserted is never the eviction
-    // victim, even when every other entry is pinned.
-    ++ins->second.pins;
-    EvictToCapacity();
-    --ins->second.pins;
     return &ins->second.value;
   }
 
-  /// Pin/unpin an entry against eviction. Pins nest.
-  bool Pin(const K& key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    ++it->second.pins;
-    return true;
-  }
-  bool Unpin(const K& key) {
-    auto it = map_.find(key);
-    if (it == map_.end() || it->second.pins == 0) return false;
-    --it->second.pins;
-    // Deferred eviction: a shrink (or over-capacity Put) that was blocked by
-    // pins resumes the moment an entry becomes evictable again, restoring the
-    // weight <= capacity invariant as early as the pinning contract allows.
-    if (it->second.pins == 0 && total_weight_ > capacity_) EvictToCapacity();
-    return true;
-  }
-
-  /// Removes an entry (even if pinned — caller's responsibility).
   bool Erase(const K& key) {
     auto it = map_.find(key);
     if (it == map_.end()) return false;
-    total_weight_ -= it->second.weight;
     order_.erase(it->second.order_it);
     map_.erase(it);
     if (entries_gauge_ != nullptr) entries_gauge_->Add(-1);
@@ -146,7 +95,6 @@ class LruCache {
     if (entries_gauge_ != nullptr) entries_gauge_->Add(-static_cast<int64_t>(map_.size()));
     map_.clear();
     order_.clear();
-    total_weight_ = 0;
   }
 
   uint64_t hits() const noexcept { return hits_; }
@@ -160,33 +108,9 @@ class LruCache {
   struct Entry {
     V value;
     typename std::list<K>::iterator order_it;
-    uint32_t pins;
-    size_t weight;
   };
 
-  void EvictToCapacity() {
-    // Scan from the LRU end, skipping pinned entries. If everything is pinned
-    // the cache may transiently exceed capacity; that mirrors a compute
-    // instance that must hold all clusters of an in-flight doorbell read.
-    // The scan is bounded: `it` strictly approaches order_.begin() on every
-    // iteration (erase returns the successor, i.e. the element after the
-    // erased one — and we step back before each probe), so an all-pinned
-    // cache terminates after one pass instead of spinning.
-    auto it = order_.end();
-    while (total_weight_ > capacity_ && it != order_.begin()) {
-      --it;
-      auto map_it = map_.find(*it);
-      assert(map_it != map_.end());
-      if (map_it->second.pins > 0) continue;
-      total_weight_ -= map_it->second.weight;
-      it = order_.erase(it);
-      map_.erase(map_it);
-      if (entries_gauge_ != nullptr) entries_gauge_->Add(-1);
-    }
-  }
-
   size_t capacity_;
-  size_t total_weight_ = 0;
   std::list<K> order_;  // front = MRU
   std::unordered_map<K, Entry> map_;
   uint64_t hits_ = 0;

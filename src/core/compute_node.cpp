@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -26,8 +25,6 @@ struct ComputeInstruments {
   telemetry::Counter* bytes_loaded;
   telemetry::Counter* cache_hit_clusters;
   telemetry::Counter* cache_miss_clusters;
-  telemetry::Counter* pruned_loads;
-  telemetry::Counter* pruned_searches;
   telemetry::Counter* retries;
   telemetry::Counter* failed_loads;
   telemetry::Counter* backoff_ns;
@@ -39,10 +36,6 @@ struct ComputeInstruments {
   telemetry::Counter* replica_faa_acks;
   telemetry::Counter* prefetch_waves;
   telemetry::Counter* pipeline_overlap_ns;
-  telemetry::Counter* rerank_candidates;
-  telemetry::Counter* rerank_reads;
-  telemetry::Counter* rerank_bytes;
-  telemetry::Counter* rerank_fallbacks;
   telemetry::ShardedCounter* sub_searches;
   telemetry::Histogram* batch_round_trips;
   telemetry::Histogram* batch_network_ns;
@@ -58,8 +51,6 @@ const ComputeInstruments& Compute() {
         r.GetCounter("dhnsw_compute_bytes_loaded_total"),
         r.GetCounter("dhnsw_compute_cache_hit_clusters_total"),
         r.GetCounter("dhnsw_compute_cache_miss_clusters_total"),
-        r.GetCounter("dhnsw_compute_pruned_loads_total"),
-        r.GetCounter("dhnsw_compute_pruned_searches_total"),
         r.GetCounter("dhnsw_compute_retries_total"),
         r.GetCounter("dhnsw_compute_failed_loads_total"),
         r.GetCounter("dhnsw_compute_backoff_ns_total"),
@@ -71,10 +62,6 @@ const ComputeInstruments& Compute() {
         r.GetCounter("dhnsw_replication_faa_acks_total"),
         r.GetCounter("dhnsw_compute_prefetch_waves_total"),
         r.GetCounter("dhnsw_compute_pipeline_overlap_ns_total"),
-        r.GetCounter("dhnsw_compute_rerank_candidates_total"),
-        r.GetCounter("dhnsw_compute_rerank_reads_total"),
-        r.GetCounter("dhnsw_compute_rerank_bytes_total"),
-        r.GetCounter("dhnsw_compute_rerank_fallbacks_total"),
         r.GetShardedCounter("dhnsw_compute_sub_searches_total"),
         r.GetHistogram("dhnsw_compute_batch_round_trips"),
         r.GetHistogram("dhnsw_compute_batch_network_ns"),
@@ -94,15 +81,6 @@ std::string_view EngineModeName(EngineMode mode) noexcept {
   return "?";
 }
 
-std::string_view PayloadModeName(PayloadMode mode) noexcept {
-  switch (mode) {
-    case PayloadMode::kRaw: return "raw";
-    case PayloadMode::kPq: return "pq";
-    case PayloadMode::kPqRerank: return "pq+rerank";
-  }
-  return "?";
-}
-
 BatchBreakdown& BatchBreakdown::operator+=(const BatchBreakdown& rhs) noexcept {
   network_us += rhs.network_us;
   meta_us += rhs.meta_us;
@@ -112,17 +90,11 @@ BatchBreakdown& BatchBreakdown::operator+=(const BatchBreakdown& rhs) noexcept {
   bytes_read += rhs.bytes_read;
   clusters_loaded += rhs.clusters_loaded;
   cache_hits += rhs.cache_hits;
-  pruned_searches += rhs.pruned_searches;
-  pruned_loads += rhs.pruned_loads;
   retries += rhs.retries;
   failed_loads += rhs.failed_loads;
   backoff_ns += rhs.backoff_ns;
   failovers += rhs.failovers;
   pipeline_overlap_ns += rhs.pipeline_overlap_ns;
-  rerank_candidates += rhs.rerank_candidates;
-  rerank_reads += rhs.rerank_reads;
-  rerank_bytes += rhs.rerank_bytes;
-  rerank_fallbacks += rhs.rerank_fallbacks;
   num_queries += rhs.num_queries;
   return *this;
 }
@@ -134,10 +106,7 @@ ComputeNode::ComputeNode(rdma::Fabric* fabric, MemoryNodeHandle memory,
       options_(options),
       name_(std::move(name)),
       qp_(fabric, &clock_, options.doorbell_batch),
-      cache_(options.mode == EngineMode::kNaive
-                 ? 0
-                 : (options.cache_budget_bytes > 0 ? options.cache_budget_bytes
-                                                   : options.cache_capacity)) {
+      cache_(options.mode == EngineMode::kNaive ? 0 : options.cache_capacity) {
   fabric_->AddNode(name_);
   if (!fabric_->transport().is_sim()) {
     real_backoff_ = true;
@@ -238,25 +207,6 @@ Status ComputeNode::Connect() {
   //    instances after the sub-HNSW clusters are written to the memory pool").
   DHNSW_RETURN_IF_ERROR(WithRetry([this] { return RefreshMetadata(); }));
 
-  // 4. PQ preconditions: compressed payloads need the shared codebook (it
-  //    rides in the meta blob) and per-cluster prefix lengths from the table.
-  //    Failing here — not mid-batch — keeps every later load unconditional.
-  if (options_.payload != PayloadMode::kRaw) {
-    if (meta_->quantizer() == nullptr) {
-      return Status::InvalidArgument(
-          "payload=pq requires a PQ-enabled deployment (no codebook in meta blob)");
-    }
-    if (static_cast<Metric>(header_.metric) == Metric::kCosine) {
-      return Status::InvalidArgument("payload=pq does not support cosine");
-    }
-    for (uint32_t c = 0; c < table_.size(); ++c) {
-      if (table_[c].pq_head_size == 0) {
-        return Status::InvalidArgument("payload=pq: cluster " + std::to_string(c) +
-                                       " was provisioned without PQ codes");
-      }
-    }
-  }
-
   qp_.ResetStats();
   clock_.Reset();
   return Status::Ok();
@@ -345,53 +295,6 @@ void ComputeNode::LoadedCluster::Search(std::span<const float> q, size_t k, uint
   }
 }
 
-void ComputeNode::LoadedCluster::SearchPq(std::span<const float> q, size_t k,
-                                          uint32_t ef, Metric metric,
-                                          SubSearchMode mode, uint32_t rerank,
-                                          std::vector<Scored>* rerank_cands,
-                                          TopKHeap* out) const {
-  // Per-(query, cluster) ADC LUT; thread-local so steady-state sub-searches
-  // allocate nothing (pool workers each get their own).
-  static thread_local std::vector<float> lut;
-  static thread_local std::vector<float> scratch;
-  static thread_local std::vector<Scored> adc;
-  lut.resize(quantizer->lut_floats());
-  scratch.resize(quantizer->dim());
-  const float bias = quantizer->BuildAdcLut(metric, q, centroid, lut.data(),
-                                            scratch.data());
-  const bool flat = mode == SubSearchMode::kFlatScan;
-  const uint32_t slack =
-      static_cast<uint32_t>(std::min<size_t>(tombstones.size(), 64));
-
-  if (rerank_cands != nullptr) {
-    // Collect the top max(k, rerank) survivors for exact re-rank; graph
-    // candidates do NOT enter the heap here — their ADC scores are only a
-    // ranking, the caller pushes the exact (or fallback) distances.
-    const uint32_t want = std::max<uint32_t>(static_cast<uint32_t>(k), rerank);
-    SearchPqCluster(*pq, lut.data(), bias, want + slack,
-                    std::max<uint32_t>(ef, want + slack), flat, &adc);
-    for (const Scored& s : adc) {
-      if (IsDeleted(pq->global_ids[s.id])) continue;
-      rerank_cands->push_back(s);
-      if (rerank_cands->size() == want) break;
-    }
-  } else {
-    SearchPqCluster(*pq, lut.data(), bias, static_cast<uint32_t>(k) + slack,
-                    std::max<uint32_t>(ef, 1), flat, &adc);
-    for (const Scored& s : adc) {
-      const uint32_t gid = pq->global_ids[s.id];
-      if (!IsDeleted(gid)) out->Push(s.distance, gid);
-    }
-  }
-  // Overflow records arrive raw with the prefix read; score them exactly.
-  const PairKernel pair = ActiveKernels().Pair(metric);
-  for (const OverflowRecord& rec : overflow) {
-    if (!IsDeleted(rec.global_id)) {
-      out->Push(pair(rec.vector.data(), q.data(), rec.vector.size()), rec.global_id);
-    }
-  }
-}
-
 Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& load,
                                                                 double* deserialize_us,
                                                                 bool traced) {
@@ -405,49 +308,26 @@ Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& loa
     decode_scope->set_args(cluster, load.buffer.size());
   }
 
-  const bool pq_mode = options_.payload != PayloadMode::kRaw;
   auto loaded = std::make_shared<LoadedCluster>();
-  loaded->transfer_bytes = load.buffer.size();
 
-  // Raw mode reads one contiguous range; overflow records precede the blob
-  // for a backward (B-side) cluster and follow it for a forward one. PQ mode
-  // always stages [used overflow][pq prefix] in the buffer (PostRoundReads).
-  // A raw load's bytes move into the LoadedCluster before the view is built
-  // over them; moving an AlignedBuffer keeps its address, so the spans below
-  // stay valid. `fetched` keeps them alive when the blob is copied instead.
-  AlignedBuffer fetched = std::move(load.buffer);
-  const std::span<const uint8_t> bytes = std::as_const(fetched).span();
-  std::span<const uint8_t> blob_bytes =
-      pq_mode ? bytes.subspan(used_bytes, meta.pq_head_size)
-              : bytes.subspan(meta.BlobOffsetInRead(used_bytes), meta.blob_size);
+  // One contiguous range: overflow records precede the blob for a backward
+  // (B-side) cluster and follow it for a forward one. The bytes move into
+  // the LoadedCluster before the view is built over them; moving an
+  // AlignedBuffer keeps its address, so the spans below stay valid. The
+  // buffer is 64-aligned and a backward blob starts after whole records
+  // (an 8-byte stride), so the payload is 4-byte aligned and searched in
+  // place (DESIGN.md §17).
+  loaded->buffer = std::move(load.buffer);
+  const std::span<const uint8_t> bytes = std::as_const(loaded->buffer).span();
+  const std::span<const uint8_t> blob_bytes =
+      bytes.subspan(meta.BlobOffsetInRead(used_bytes), meta.blob_size);
   const std::span<const uint8_t> overflow_bytes =
-      pq_mode ? bytes.subspan(0, used_bytes)
-              : bytes.subspan(meta.OverflowOffsetInRead(), used_bytes);
-
-  if (pq_mode) {
-    DHNSW_ASSIGN_OR_RETURN(PqCluster decoded, DecodePqCluster(blob_bytes));
-    if (decoded.partition_id != cluster) {
-      return Status::Corruption("loaded blob belongs to a different partition");
-    }
-    loaded->pq.emplace(std::move(decoded));
-    const std::span<const float> rep = meta_->index().vector(cluster);
-    loaded->centroid.assign(rep.begin(), rep.end());
-    loaded->quantizer = meta_->quantizer();
-  } else {
-    if (ClusterView::PayloadAligned(blob_bytes)) {
-      loaded->buffer = std::move(fetched);
-    } else {
-      // A PQ-provisioned region read raw: a codes section whose count*m is
-      // not a multiple of 4 puts the rows off 4-byte alignment, so this blob
-      // is searched in a copy.
-      blob_bytes = ClusterView::CopyAligned(blob_bytes, &loaded->buffer);
-    }
-    const ClusterExpect expect{.metric = static_cast<Metric>(header_.metric),
-                               .dim = header_.dim,
-                               .partition_id = cluster};
-    DHNSW_ASSIGN_OR_RETURN(ClusterView view, ClusterView::Parse(blob_bytes, expect));
-    loaded->view.emplace(std::move(view));
-  }
+      bytes.subspan(meta.OverflowOffsetInRead(), used_bytes);
+  const ClusterExpect expect{.metric = static_cast<Metric>(header_.metric),
+                             .dim = header_.dim,
+                             .partition_id = cluster};
+  DHNSW_ASSIGN_OR_RETURN(ClusterView view, ClusterView::Parse(blob_bytes, expect));
+  loaded->view.emplace(std::move(view));
   DHNSW_ASSIGN_OR_RETURN(
       std::vector<OverflowRecord> records,
       DecodeOverflowArea(overflow_bytes, used_bytes, header_.dim));
@@ -481,7 +361,6 @@ std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
     return table_[a].node_slot < table_[b].node_slot;
   });
 
-  const bool pq_mode = options_.payload != PayloadMode::kRaw;
   const uint32_t doorbell = DoorbellWindow();
   std::vector<PendingLoad> pending;
   pending.reserve(remaining->size());
@@ -495,41 +374,6 @@ std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
     }
     ring_slot = meta.node_slot;
     const SlotRoute route = RouteFor(meta.node_slot);
-    if (pq_mode) {
-      // PQ prefix load: the buffer is uniformly [used overflow][pq prefix].
-      // A backward cluster's records end exactly where its blob begins, so
-      // one contiguous READ covers both; a forward cluster's overflow sits
-      // *after* the float rows the prefix read skips, so it needs a second
-      // READ in the same ring (elided while no inserts landed).
-      const uint64_t used = meta.overflow_used;
-      const uint64_t head = meta.pq_head_size;
-      pending.push_back(PendingLoad{cluster, AlignedBuffer(used + head, 64), used});
-      std::span<uint8_t> buf = pending.back().buffer.span();
-      if (meta.direction == OverflowDirection::kBackward) {
-        qp_.PostRead(route.rkey, meta.overflow_base - used, buf.first(used + head),
-                     cluster, route.epoch);
-        if (++in_ring == doorbell) {
-          ring();
-          in_ring = 0;
-        }
-      } else {
-        if (used > 0) {
-          qp_.PostRead(route.rkey, meta.overflow_base, buf.first(used), cluster,
-                       route.epoch);
-          if (++in_ring == doorbell) {
-            ring();
-            in_ring = 0;
-          }
-        }
-        qp_.PostRead(route.rkey, meta.blob_offset, buf.subspan(used, head), cluster,
-                     route.epoch);
-        if (++in_ring == doorbell) {
-          ring();
-          in_ring = 0;
-        }
-      }
-      continue;
-    }
     const ClusterMeta::Range range = meta.ReadRange(meta.overflow_used);
     pending.push_back(
         PendingLoad{cluster, AlignedBuffer(range.length, 64), meta.overflow_used});
@@ -597,7 +441,7 @@ void ComputeNode::ProcessLoadRound(
       fail_one(load.cluster, loaded.status());
       continue;
     }
-    const uint64_t transfer_bytes = loaded.value()->transfer_bytes;
+    const uint64_t transfer_bytes = loaded.value()->buffer.size();
     if (predecoded != nullptr) {
       // The real decode ran on the prefetch worker (untraced — the buffer is
       // single-writer); this marker keeps per-cluster decode visibility in
@@ -608,7 +452,7 @@ void ComputeNode::ProcessLoadRound(
     breakdown->clusters_loaded += 1;
     breakdown->bytes_read += transfer_bytes;
     if (options_.mode != EngineMode::kNaive) {
-      cache_.Put(load.cluster, loaded.value(), CacheWeight(transfer_bytes));
+      cache_.Put(load.cluster, loaded.value());
     }
     out->emplace_back(load.cluster, std::move(loaded).value());
   }
@@ -689,15 +533,10 @@ ThreadPool* ComputeNode::PrefetchPool() {
 }
 
 std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
-    const LoadWave& wave, const std::vector<uint8_t>* load_wanted, bool pipelined,
-    BatchBreakdown* breakdown) {
+    const LoadWave& wave, bool pipelined) {
   auto state = std::make_unique<WaveLoadState>();
   uint64_t resident_skips = 0;
   for (uint32_t cluster : wave.to_load) {
-    if (load_wanted != nullptr && !(*load_wanted)[cluster]) {
-      ++breakdown->pruned_loads;
-      continue;
-    }
     if (!cache_.Contains(cluster)) {
       state->to_load.push_back(cluster);
       trace_ctx_.Event("cache.miss", telemetry::TraceEvent::kNoQuery, cluster);
@@ -735,8 +574,8 @@ std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
     qp_.ExecuteAsyncBatch(raw->batch.get());
     const std::span<const rdma::Completion> comps = raw->batch->completions();
     for (size_t i = 0; i < raw->pending.size(); ++i) {
-      // Each WR carries its cluster id; a cluster may span several WRs (the
-      // PQ prefix + overflow pair), so decode only when every one succeeded.
+      // Each WR carries its cluster id; decode only clusters whose READ
+      // succeeded.
       const uint32_t cluster = raw->pending[i].cluster;
       bool all_ok = true;
       for (const rdma::Completion& c : comps) {
@@ -803,124 +642,6 @@ void ComputeNode::AbandonPrefetch(WaveLoadState* wave_load) {
   }
 }
 
-void ComputeNode::RunRerank(const VectorSet& queries, std::vector<RerankTask>& tasks,
-                            std::span<TopKHeap> heaps, BatchBreakdown* breakdown) {
-  if (tasks.empty()) return;
-  telemetry::TraceScope rerank_scope(trace_ctx_, "stage.rerank");
-
-  // Unique (cluster, local id) fetch set in deterministic first-use order —
-  // a vector that survived ADC for several queries is read once.
-  struct Fetch {
-    uint32_t cluster;
-    uint32_t local;
-  };
-  auto fetch_key = [](uint32_t cluster, uint32_t local) {
-    return (static_cast<uint64_t>(cluster) << 32) | local;
-  };
-  std::vector<Fetch> fetches;
-  std::unordered_map<uint64_t, uint32_t> fetch_index;
-  for (const RerankTask& t : tasks) {
-    breakdown->rerank_candidates += t.cands.size();
-    for (const Scored& c : t.cands) {
-      if (fetch_index.emplace(fetch_key(t.cluster, c.id),
-                              static_cast<uint32_t>(fetches.size()))
-              .second) {
-        fetches.push_back(Fetch{t.cluster, c.id});
-      }
-    }
-  }
-  // Group by owning memory instance so each doorbell ring targets one QP;
-  // stable, so the order stays deterministic.
-  std::stable_sort(fetches.begin(), fetches.end(), [this](const Fetch& a, const Fetch& b) {
-    return table_[a.cluster].node_slot < table_[b.cluster].node_slot;
-  });
-  for (uint32_t i = 0; i < fetches.size(); ++i) {
-    fetch_index[fetch_key(fetches[i].cluster, fetches[i].local)] = i;
-  }
-  rerank_scope.set_args(tasks.size(), fetches.size());
-
-  const uint32_t dim = header_.dim;
-  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
-  AlignedBuffer buf(fetches.size() * row_bytes, 64);
-  std::vector<uint8_t> fetched(fetches.size(), 0);
-
-  // Post/ring/drain with the load path's retry discipline. A vector whose
-  // READ still fails after the budget keeps its ADC score — re-rank degrades
-  // per candidate, it never fails the batch.
-  qp_.set_max_doorbell_wrs(DoorbellWindow());
-  const uint32_t doorbell = DoorbellWindow();
-  std::vector<uint32_t> remaining(fetches.size());
-  for (uint32_t i = 0; i < fetches.size(); ++i) remaining[i] = i;
-  RetryBudget budget(options_.retry, &clock_, real_backoff_);
-  uint32_t failures = 0;
-  while (!remaining.empty()) {
-    uint32_t in_ring = 0;
-    uint32_t ring_slot = 0;
-    for (uint32_t fi : remaining) {
-      const Fetch& f = fetches[fi];
-      const ClusterMeta& meta = table_[f.cluster];
-      if (in_ring > 0 && meta.node_slot != ring_slot) {
-        qp_.RingDoorbell();
-        in_ring = 0;
-      }
-      ring_slot = meta.node_slot;
-      const SlotRoute route = RouteFor(meta.node_slot);
-      qp_.PostRead(route.rkey,
-                   meta.blob_offset + meta.pq_head_size +
-                       static_cast<uint64_t>(f.local) * row_bytes,
-                   buf.subspan(static_cast<size_t>(fi) * row_bytes, row_bytes), fi,
-                   route.epoch);
-      if (++in_ring == doorbell) {
-        qp_.RingDoorbell();
-        in_ring = 0;
-      }
-    }
-    if (in_ring > 0) qp_.RingDoorbell();
-    breakdown->rerank_reads += remaining.size();
-    breakdown->rerank_bytes += remaining.size() * row_bytes;
-
-    std::vector<uint32_t> failed;
-    Status first_error;
-    rdma::Completion c;
-    while (qp_.PollCompletion(&c)) {
-      if (c.status == rdma::WcStatus::kSuccess) {
-        fetched[c.wr_id] = 1;
-        continue;
-      }
-      failed.push_back(static_cast<uint32_t>(c.wr_id));
-      if (first_error.ok()) first_error = rdma::QueuePair::ToStatus(c);
-    }
-    if (failed.empty()) break;
-    uint64_t backoff = 0;
-    if (!IsRetryable(first_error) || !budget.AllowRetry(++failures, &backoff)) break;
-    breakdown->retries += failed.size();
-    breakdown->backoff_ns += backoff;
-    std::sort(failed.begin(), failed.end());
-    remaining = std::move(failed);
-  }
-
-  // Exact rescore; ADC fallback (already bias-adjusted and heap-comparable)
-  // for the fetches that never landed.
-  const Metric metric = options_.sub_hnsw_template.metric;
-  const PairKernel pair = ActiveKernels().Pair(metric);
-  for (const RerankTask& t : tasks) {
-    const std::span<const float> q = queries[t.query_row];
-    TopKHeap& heap = heaps[t.heap];
-    for (const Scored& cand : t.cands) {
-      const uint32_t fi = fetch_index[fetch_key(t.cluster, cand.id)];
-      const uint32_t gid = t.loaded->pq->global_ids[cand.id];
-      if (fetched[fi]) {
-        const float* vec =
-            reinterpret_cast<const float*>(buf.data() + static_cast<size_t>(fi) * row_bytes);
-        heap.Push(pair(q.data(), vec, dim), gid);
-      } else {
-        heap.Push(cand.distance, gid);
-        ++breakdown->rerank_fallbacks;
-      }
-    }
-  }
-}
-
 Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t begin,
                                              size_t count, size_t k, uint32_t ef_search) {
   if (!connected()) return Status::Unavailable("ComputeNode: not connected");
@@ -979,26 +700,22 @@ void ComputeNode::ForChunks(size_t n, size_t grain,
 
 void ComputeNode::RouteStage(BatchState* batch) {
   // --- meta-HNSW routing (the "cache computation" column of Tables 1-2) ---
-  // Each query descends the cached meta-HNSW on its own (RouteManyScored is
-  // const and leases its scratch from a thread-safe pool) and writes only its
-  // own route slots, so chunks of queries go out to the search pool.
+  // Each query descends the cached meta-HNSW on its own (RouteMany is const
+  // and leases its scratch from a thread-safe pool) and writes only its own
+  // route slot, so chunks of queries go out to the search pool.
   constexpr size_t kRouteGrain = 16;
   WallTimer meta_timer;
   telemetry::TraceScope meta_scope(trace_ctx_, "stage.meta");
   const size_t count = batch->count;
   const uint32_t b = std::max<uint32_t>(options_.clusters_per_query, 1);
   meta_scope.set_args(count, b);
-  batch->routes_scored.resize(count);
   batch->routes.resize(count);
   const bool traced = trace_ctx_.enabled();
   std::vector<uint64_t> walls(traced ? count : 0);
   ForChunks(count, kRouteGrain, [&](size_t first, size_t last) {
     for (size_t i = first; i < last; ++i) {
       const WallTimer timer;
-      std::vector<Scored>& scored = batch->routes_scored[i];
-      scored = meta_->RouteManyScored(batch->queries[batch->begin + i], b);
-      batch->routes[i].reserve(scored.size());
-      for (const Scored& s : scored) batch->routes[i].push_back(s.id);
+      batch->routes[i] = meta_->RouteMany(batch->queries[batch->begin + i], b);
       if (traced) walls[i] = timer.elapsed_ns();
     }
   });
@@ -1032,17 +749,8 @@ Status ComputeNode::NaiveStage(BatchState* batch) {
         continue;
       }
       WallTimer sub_timer;
-      const LoadedCluster* resident = loaded.front().second.get();
-      std::vector<RerankTask> tasks;
-      if (options_.payload == PayloadMode::kPqRerank) {
-        tasks.push_back(RerankTask{.cluster = cluster, .loaded = resident, .query_row = row});
-      }
-      SearchResident(*resident, batch->queries[row], *batch, &heap,
-                     tasks.empty() ? nullptr : &tasks.back().cands);
+      SearchResident(*loaded.front().second, batch->queries[row], *batch, &heap);
       result.breakdown.sub_us += sub_timer.elapsed_us();
-      if (!tasks.empty()) {
-        RunRerank(batch->queries, tasks, std::span<TopKHeap>(&heap, 1), &result.breakdown);
-      }
     }
     result.results[i] = heap.TakeSorted();
   }
@@ -1062,42 +770,9 @@ BatchPlan ComputeNode::PlanStage(BatchState* batch) {
 }
 
 void ComputeNode::SearchResident(const LoadedCluster& cluster, std::span<const float> q,
-                                 const BatchState& batch, TopKHeap* heap,
-                                 std::vector<Scored>* rerank_cands) const {
-  const Metric metric = options_.sub_hnsw_template.metric;
-  if (options_.payload == PayloadMode::kRaw) {
-    cluster.Search(q, batch.k, batch.ef_search, metric, options_.sub_search, heap);
-  } else {
-    cluster.SearchPq(q, batch.k, batch.ef_search, metric, options_.sub_search,
-                     options_.rerank_depth, rerank_cands, heap);
-  }
-}
-
-bool ComputeNode::Prunable(const BatchState& batch, const WorkItem& item) const {
-  // Under L2 the stored distances are squared; the sound bound uses true
-  // distances with the cluster's covering radius:
-  //   any member distance >= dist(q, rep) - radius,
-  // so prune when (dist(q,rep) - radius) > factor * kth_best. Non-L2
-  // metrics lack the triangle inequality; fall back to comparing raw
-  // representative scores.
-  const double prune = options_.adaptive_prune_factor;
-  if (prune <= 0.0) return false;
-  const TopKHeap& heap = batch.heaps[item.query_index];
-  if (!heap.full()) return false;
-  // The pair's representative distance — b is small, a linear scan beats a
-  // hash map here. An unrouted pair (shouldn't happen) is never pruned.
-  double rd = 0.0;
-  for (const Scored& s : batch.routes_scored[item.query_index]) {
-    if (s.id == item.cluster) {
-      rd = static_cast<double>(s.distance);
-      break;
-    }
-  }
-  if (options_.sub_hnsw_template.metric == Metric::kL2) {
-    const double bound = std::sqrt(std::max(rd, 0.0)) - table_[item.cluster].radius;
-    return bound > prune * std::sqrt(std::max<double>(heap.worst(), 0.0));
-  }
-  return rd > prune * static_cast<double>(heap.worst());
+                                 const BatchState& batch, TopKHeap* heap) const {
+  cluster.Search(q, batch.k, batch.ef_search, options_.sub_hnsw_template.metric,
+                 options_.sub_search, heap);
 }
 
 bool ComputeNode::LoadFailed(const std::vector<FailedLoad>& failures, uint32_t cluster) {
@@ -1109,32 +784,13 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
   batch->heaps.reserve(batch->count);
   for (size_t i = 0; i < batch->count; ++i) batch->heaps.emplace_back(batch->k);
 
-  // Pipelined wave execution: with pipeline_depth >= 2 (and pruning off —
-  // prune masks depend on heap state the previous wave has not produced
-  // yet), each wave's cluster READs are posted before the previous wave's
-  // sub-searches start, and drain + decode on the prefetch worker while
-  // those searches run. Issue/reap keeps all fabric accounting on this
-  // thread in the blocking path's exact order, so results, statuses, the
-  // cache, and the simulated timeline are bit-identical either way.
-  // kPqRerank also falls back to sequential: its owner-thread re-rank
-  // READs would interleave with a prefetched wave's WR sequence, breaking
-  // the deterministic fabric-op order replay and fault tests rely on.
-  const bool pruning = options_.adaptive_prune_factor > 0.0;
-  const bool pipelined = options_.pipeline_depth >= 2 && !pruning &&
-                         options_.payload != PayloadMode::kPqRerank;
-
-  // Adaptive pruning: elide a cluster's load entirely when every query
-  // that wanted it already has a full top-k that its representative
-  // cannot beat (cf. learned early termination [12]).
-  std::vector<uint8_t> load_wanted;
-  auto wanted_for = [&](const LoadWave& wave) -> const std::vector<uint8_t>* {
-    if (!pruning) return nullptr;
-    load_wanted.assign(table_.size(), 0);
-    for (const WorkItem& item : wave.work) {
-      if (!Prunable(*batch, item)) load_wanted[item.cluster] = 1;
-    }
-    return &load_wanted;
-  };
+  // Pipelined wave execution: with pipeline_depth >= 2, each wave's cluster
+  // READs are posted before the previous wave's sub-searches start, and
+  // drain + decode on the prefetch worker while those searches run.
+  // Issue/reap keeps all fabric accounting on this thread in the blocking
+  // path's exact order, so results, statuses, the cache, and the simulated
+  // timeline are bit-identical either way.
+  const bool pipelined = options_.pipeline_depth >= 2;
 
   std::unique_ptr<WaveLoadState> inflight;
   // A failing batch must not leave a posted-but-unreaped prefetch on the
@@ -1150,7 +806,7 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
   for (size_t wv = 0; wv < plan.waves.size(); ++wv) {
     const LoadWave& wave = plan.waves[wv];
     if (inflight == nullptr) {
-      inflight = IssueWaveLoads(wave, wanted_for(wave), pipelined, &batch->result.breakdown);
+      inflight = IssueWaveLoads(wave, pipelined);
     }
     FreshLoads fresh;
     std::vector<FailedLoad> failures;
@@ -1159,7 +815,7 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
     // One wave ahead (double-buffered): the next wave's misses post now and
     // drain on the prefetch worker while this wave's sub-searches run.
     if (pipelined && wv + 1 < plan.waves.size()) {
-      inflight = IssueWaveLoads(plan.waves[wv + 1], nullptr, true, &batch->result.breakdown);
+      inflight = IssueWaveLoads(plan.waves[wv + 1], true);
     }
     DHNSW_RETURN_IF_ERROR(SubStage(wave, failures, batch));
   }
@@ -1198,9 +854,6 @@ Status ComputeNode::LoadStage(const LoadWave& wave, WaveLoadState* inflight,
   }
   for (const WorkItem& item : wave.work) {
     if (wave_probed_[item.cluster] != 0) continue;
-    // Pruned items never touched the cache before; keep it that way
-    // (Prunable is monotone, so an item pruned now stays pruned).
-    if (Prunable(*batch, item)) continue;
     wave_probed_[item.cluster] = 1;
     if (LoadFailed(*failures, item.cluster)) continue;
     LoadedClusterPtr* hit = cache_.Get(item.cluster);
@@ -1215,7 +868,6 @@ Status ComputeNode::SubStage(const LoadWave& wave, const std::vector<FailedLoad>
   telemetry::TraceScope sub_scope(trace_ctx_, "stage.sub");
   sub_scope.set_args(wave.work.size());
   const std::vector<WorkItem>& work = wave.work;
-  const bool rerank = options_.payload == PayloadMode::kPqRerank;
 
   // Work items are grouped by query, so a query's group is one unit of pool
   // work and each heap keeps a single owner. Group g is the item range
@@ -1230,19 +882,11 @@ Status ComputeNode::SubStage(const LoadWave& wave, const std::vector<FailedLoad>
   constexpr uint64_t kNotSearched = UINT64_MAX;
   const bool traced = trace_ctx_.enabled();
   std::vector<uint64_t> item_wall(traced ? work.size() : 0, kNotSearched);
-  // kPqRerank: per-work-item ADC survivor lists, filled by the searches and
-  // drained by the owner-thread re-rank.
-  std::vector<std::vector<Scored>> item_cands(rerank ? work.size() : 0);
-  std::atomic<uint64_t> pruned_searches{0};
   std::atomic<bool> not_resident{false};
 
   ForChunks(starts.size() - 1, 1, [&](size_t first, size_t last) {
     for (size_t w = starts[first]; w < starts[last]; ++w) {
       const WorkItem& item = work[w];
-      if (Prunable(*batch, item)) {
-        pruned_searches.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
       if (LoadFailed(failures, item.cluster)) continue;  // degraded at load
       const LoadedCluster* cluster = wave_resident_[item.cluster];
       if (cluster == nullptr) {
@@ -1252,8 +896,7 @@ Status ComputeNode::SubStage(const LoadWave& wave, const std::vector<FailedLoad>
       const WallTimer timer;
       Compute().sub_searches->Add(1);
       SearchResident(*cluster, batch->queries[batch->begin + item.query_index], *batch,
-                     &batch->heaps[item.query_index],
-                     item_cands.empty() ? nullptr : &item_cands[w]);
+                     &batch->heaps[item.query_index]);
       if (traced) item_wall[w] = timer.elapsed_ns();
     }
   });
@@ -1262,27 +905,7 @@ Status ComputeNode::SubStage(const LoadWave& wave, const std::vector<FailedLoad>
     trace_ctx_.Span("query.sub", work[w].query_index, item_wall[w], work[w].cluster);
   }
   if (not_resident.load()) return Status::Internal("wave cluster not resident");
-  batch->result.breakdown.pruned_searches += pruned_searches.load();
   batch->result.breakdown.sub_us += sub_timer.elapsed_us();
-  sub_scope.Close();
-
-  // Exact re-rank of this wave's ADC survivors. Runs on the owner thread
-  // after every sub-search finished (its READs must not interleave with
-  // pool-thread work); the caller's FreshLoads and the untouched cache keep
-  // every `loaded` pointer alive until the heaps are updated.
-  if (rerank) {
-    std::vector<RerankTask> tasks;
-    for (size_t w = 0; w < work.size(); ++w) {
-      if (item_cands[w].empty()) continue;
-      const WorkItem& item = work[w];
-      tasks.push_back(RerankTask{.cluster = item.cluster,
-                                 .loaded = wave_resident_[item.cluster],
-                                 .query_row = batch->begin + item.query_index,
-                                 .heap = item.query_index,
-                                 .cands = std::move(item_cands[w])});
-    }
-    RunRerank(batch->queries, tasks, batch->heaps, &batch->result.breakdown);
-  }
   return Status::Ok();
 }
 
@@ -1303,15 +926,9 @@ void ComputeNode::RecordBatch(const rdma::QpStats& stats_before, BatchBreakdown*
   metrics.queries->Add(breakdown->num_queries);
   metrics.cluster_loads->Add(breakdown->clusters_loaded);
   metrics.bytes_loaded->Add(breakdown->bytes_read);
-  metrics.pruned_loads->Add(breakdown->pruned_loads);
-  metrics.pruned_searches->Add(breakdown->pruned_searches);
   metrics.retries->Add(breakdown->retries);
   metrics.failed_loads->Add(breakdown->failed_loads);
   metrics.backoff_ns->Add(breakdown->backoff_ns);
-  metrics.rerank_candidates->Add(breakdown->rerank_candidates);
-  metrics.rerank_reads->Add(breakdown->rerank_reads);
-  metrics.rerank_bytes->Add(breakdown->rerank_bytes);
-  metrics.rerank_fallbacks->Add(breakdown->rerank_fallbacks);
   metrics.batch_round_trips->Record(delta.round_trips);
   metrics.batch_network_ns->Record(delta.sim_network_ns);
 }

@@ -48,18 +48,6 @@ enum class SubSearchMode : uint8_t {
                   ///< "d-IVF" ablation isolating the graph's contribution
 };
 
-/// What a cluster load transfers over the fabric.
-enum class PayloadMode : uint8_t {
-  kRaw = 0,       ///< full blob + overflow (the seed behaviour)
-  kPq = 1,        ///< PQ prefix only (graph + codes, no float rows); sub-
-                  ///< searches score with SIMD ADC against the shared codebook
-  kPqRerank = 2,  ///< kPq plus exact re-rank: the top rerank_depth ADC
-                  ///< survivors per (query, cluster) fetch their raw vectors
-                  ///< with doorbell-batched READs and are rescored exactly
-};
-
-std::string_view PayloadModeName(PayloadMode mode) noexcept;
-
 struct ComputeOptions {
   EngineMode mode = EngineMode::kFull;
   uint32_t clusters_per_query = 2;  ///< b: sub-HNSWs searched per query
@@ -78,34 +66,9 @@ struct ComputeOptions {
   /// wave in flight ahead (deeper depths are clamped to that). Results,
   /// per-query statuses, cache contents, retry/fencing semantics, and the
   /// simulated timeline are bit-identical to the sequential path
-  /// (tests/test_pipeline.cpp); only wall-clock time changes. Falls back to
-  /// sequential when adaptive_prune_factor > 0 (prune decisions depend on the
-  /// previous wave's heaps, so the next load set is not known in advance) and
-  /// in kNaive mode (no wave structure to overlap).
+  /// (tests/test_pipeline.cpp); only wall-clock time changes. kNaive mode
+  /// has no wave structure to overlap and ignores it.
   uint32_t pipeline_depth = 2;
-  /// Compressed cluster payloads (DESIGN.md "PQ payloads"). Non-raw modes
-  /// require a deployment built with PqConfig.enabled — Connect() fails
-  /// otherwise — and a non-cosine metric. kPqRerank additionally disables
-  /// pipelined waves: its owner-thread raw-vector READs interleave with the
-  /// wave sequence, which must stay deterministic for replay/fault purity.
-  PayloadMode payload = PayloadMode::kRaw;
-  /// R: ADC survivors per (query, cluster) re-ranked exactly (kPqRerank).
-  /// The effective depth is max(k, rerank_depth).
-  uint32_t rerank_depth = 32;
-  /// When > 0 the cluster cache is byte-budgeted: capacity becomes this many
-  /// bytes of loaded transfer buffers, every entry weighted by its transfer
-  /// size — so PQ-compressed clusters pack proportionally more entries into
-  /// the same DRAM. 0 keeps entry-count semantics (cache_capacity entries).
-  /// Wave planning still uses cache_capacity as its working-set bound.
-  size_t cache_budget_bytes = 0;
-  /// Adaptive cluster pruning (cf. the paper's related work [12, 43]): when
-  /// > 0, a query whose top-k is already full skips any remaining routed
-  /// cluster whose *representative* distance exceeds
-  ///   factor * (current k-th best distance).
-  /// A whole cluster load is elided when every query wanting it prunes it.
-  /// 0 disables pruning (the paper's behaviour). Typical values 1.5-4.0;
-  /// smaller is more aggressive. Applies to kNoDoorbell/kFull modes only.
-  double adaptive_prune_factor = 0.0;
   /// Graph search (the paper) or exact per-cluster scan (IVF-style ablation).
   SubSearchMode sub_search = SubSearchMode::kGraph;
   HnswOptions sub_hnsw_template;    ///< decode-side options (metric etc.)
@@ -133,8 +96,6 @@ struct BatchBreakdown {
   uint64_t bytes_read = 0;
   uint64_t clusters_loaded = 0;
   uint64_t cache_hits = 0;
-  uint64_t pruned_searches = 0;  ///< (query, cluster) pairs skipped adaptively
-  uint64_t pruned_loads = 0;     ///< whole cluster loads elided by pruning
   uint64_t retries = 0;          ///< fabric ops re-issued after a failure
   uint64_t failed_loads = 0;     ///< cluster loads abandoned after retries
   uint64_t backoff_ns = 0;       ///< simulated ns spent backing off
@@ -144,10 +105,6 @@ struct BatchBreakdown {
   /// the observable win of pipeline_depth >= 2. Wall-clock derived: it never
   /// feeds spans or the simulated timeline, which stay deterministic.
   uint64_t pipeline_overlap_ns = 0;
-  uint64_t rerank_candidates = 0;  ///< ADC survivors submitted for re-rank
-  uint64_t rerank_reads = 0;       ///< raw-vector READs posted (incl. retries)
-  uint64_t rerank_bytes = 0;       ///< bytes those READs moved
-  uint64_t rerank_fallbacks = 0;   ///< candidates kept at ADC score after failed reads
   size_t num_queries = 0;
 
   BatchBreakdown& operator+=(const BatchBreakdown& rhs) noexcept;
@@ -268,36 +225,22 @@ class ComputeNode {
   const std::string& name() const noexcept { return name_; }
 
  private:
-  /// A cluster resident in compute DRAM: either the fetched raw blob and
-  /// the view that searches it in place (payload=raw) or the PQ prefix
-  /// (graph + codes + centroid/codebook refs, payload=pq*), plus overflow
-  /// records (live inserts, always raw) and the set of tombstoned ids to
-  /// suppress. The view points into `buffer`, so both live and die here.
+  /// A cluster resident in compute DRAM: the fetched blob and the view that
+  /// searches it in place, plus overflow records (live inserts) and the set
+  /// of tombstoned ids to suppress. The view points into `buffer`, so both
+  /// live and die here.
   struct LoadedCluster {
-    AlignedBuffer buffer;                      ///< raw: the bytes `view` reads
-    std::optional<ClusterView> view;           ///< raw payload
-    std::optional<PqCluster> pq;               ///< PQ prefix payload
-    std::vector<float> centroid;               ///< pq: partition representative
-    const ProductQuantizer* quantizer = nullptr;  ///< pq: meta-owned codebook
+    AlignedBuffer buffer;                      ///< the whole fetched range
+    std::optional<ClusterView> view;
     std::vector<OverflowRecord> overflow;      ///< live records
     std::vector<uint32_t> tombstones;          ///< deleted global ids (sorted)
     uint64_t used_bytes_at_load = 0;
-    uint64_t transfer_bytes = 0;               ///< bytes the load moved
 
     bool IsDeleted(uint32_t global_id) const noexcept;
 
-    /// Searches graph + overflow, pushing *global* ids into `out` (raw).
+    /// Searches graph + overflow, pushing *global* ids into `out`.
     void Search(std::span<const float> q, size_t k, uint32_t ef, Metric metric,
                 SubSearchMode mode, TopKHeap* out) const;
-    /// ADC search over the PQ payload. With `rerank_cands` null, ADC scores
-    /// go straight into `out` (payload=pq). Non-null (payload=pq+rerank) the
-    /// top max(k, rerank) tombstone-filtered survivors are collected as
-    /// (local id, ADC distance) for the caller's exact re-rank instead.
-    /// Overflow records arrive raw either way and are scored exactly into
-    /// `out`.
-    void SearchPq(std::span<const float> q, size_t k, uint32_t ef, Metric metric,
-                  SubSearchMode mode, uint32_t rerank,
-                  std::vector<Scored>* rerank_cands, TopKHeap* out) const;
   };
   using LoadedClusterPtr = std::shared_ptr<const LoadedCluster>;
   /// (cluster, resident copy) pairs a load produced. Holding them keeps the
@@ -314,9 +257,9 @@ class ComputeNode {
     uint64_t used_bytes = 0;
   };
 
-  /// Turns one fetched load into a resident cluster. A raw load hands its
-  /// buffer to the LoadedCluster, which parses the view over it in place;
-  /// PQ prefixes are decoded into a PqCluster. `traced` = false suppresses
+  /// Turns one fetched load into a resident cluster: the buffer moves into
+  /// the LoadedCluster, which parses the view over it in place, and the
+  /// overflow records are decoded beside it. `traced` = false suppresses
   /// the "cluster.decode" span: the prefetch worker decodes off-thread and
   /// the trace buffer is single-writer; the reap emits the deterministic
   /// marker event instead.
@@ -402,11 +345,8 @@ class ComputeNode {
 
   /// Computes a wave's miss list (cache checks + hit/miss accounting) and, on
   /// the pipelined path, posts its READs and hands the batch to the prefetch
-  /// worker under a "stage.prefetch" span. `load_wanted` (nullable) is the
-  /// adaptive-prune elision mask — sequential executor only.
-  std::unique_ptr<WaveLoadState> IssueWaveLoads(const LoadWave& wave,
-                                                const std::vector<uint8_t>* load_wanted,
-                                                bool pipelined, BatchBreakdown* breakdown);
+  /// worker under a "stage.prefetch" span.
+  std::unique_ptr<WaveLoadState> IssueWaveLoads(const LoadWave& wave, bool pipelined);
   /// Blocks until the wave's loads are resident (or abandoned): joins the
   /// prefetch worker and performs the deferred sim/stats accounting, or runs
   /// the whole blocking load when the wave was not issued asynchronously.
@@ -450,9 +390,8 @@ class ComputeNode {
     size_t count = 0;
     size_t k = 0;
     uint32_t ef_search = 0;
-    std::vector<std::vector<Scored>> routes_scored = {};  ///< per query, best first
-    std::vector<std::vector<uint32_t>> routes = {};       ///< the ids of routes_scored
-    std::vector<TopKHeap> heaps = {};                     ///< per-query running top-k
+    std::vector<std::vector<uint32_t>> routes = {};  ///< per query, best first
+    std::vector<TopKHeap> heaps = {};                ///< per-query running top-k
     BatchResult result = {};
   };
 
@@ -474,8 +413,8 @@ class ComputeNode {
   /// clusters that failed for good, and builds the wave's resident map.
   Status LoadStage(const LoadWave& wave, WaveLoadState* inflight, FreshLoads* fresh,
                    std::vector<FailedLoad>* failures, BatchState* batch);
-  /// stage.sub (+ stage.rerank): the one sub-search loop, over query groups
-  /// on the search pool.
+  /// stage.sub: the one sub-search loop, over query groups on the search
+  /// pool.
   Status SubStage(const LoadWave& wave, const std::vector<FailedLoad>& failures,
                   BatchState* batch);
   /// stage.finalize: sorts each query's heap into its result.
@@ -488,41 +427,11 @@ class ComputeNode {
   /// call, so a single-threaded node never starts a pool thread.
   void ForChunks(size_t n, size_t grain, const std::function<void(size_t, size_t)>& fn);
 
-  /// Searches one resident cluster for `q` into `heap`, per options_.payload.
-  /// With pq+rerank, `rerank_cands` collects the ADC survivors to re-rank;
-  /// it is null for the other payloads.
+  /// Searches one resident cluster for `q` into `heap`.
   void SearchResident(const LoadedCluster& cluster, std::span<const float> q,
-                      const BatchState& batch, TopKHeap* heap,
-                      std::vector<Scored>* rerank_cands) const;
-  /// Adaptive pruning (options_.adaptive_prune_factor > 0): whether `item`
-  /// can be skipped because its query's full top-k beats anything the
-  /// cluster can hold. Monotone: once true it stays true for the batch.
-  bool Prunable(const BatchState& batch, const WorkItem& item) const;
+                      const BatchState& batch, TopKHeap* heap) const;
   /// Whether `cluster` is among a wave's abandoned loads.
   static bool LoadFailed(const std::vector<FailedLoad>& failures, uint32_t cluster);
-
-  /// Cache weight of a load: its transfer size under a byte budget, 1 entry
-  /// otherwise.
-  size_t CacheWeight(size_t transfer_bytes) const noexcept {
-    return options_.cache_budget_bytes > 0 ? transfer_bytes : 1;
-  }
-
-  /// One (query, cluster) re-rank unit: the ADC survivors of a sub-search
-  /// awaiting exact rescoring against their fetched raw vectors.
-  struct RerankTask {
-    uint32_t cluster = 0;
-    const LoadedCluster* loaded = nullptr;
-    size_t query_row = 0;  ///< row in the batch's VectorSet
-    size_t heap = 0;       ///< index into the heaps span
-    std::vector<Scored> cands = {};  ///< local ids + ADC distances
-  };
-  /// Exact re-rank (payload=pq+rerank): dedups the tasks' candidates into
-  /// unique (cluster, local id) raw-vector READs, posts them doorbell-batched
-  /// under a "stage.rerank" span, and rescores with the pair kernel into the
-  /// query heaps. A vector whose READ permanently fails keeps its ADC score
-  /// (counted in rerank_fallbacks) — re-rank degrades, never fails a batch.
-  void RunRerank(const VectorSet& queries, std::vector<RerankTask>& tasks,
-                 std::span<TopKHeap> heaps, BatchBreakdown* breakdown);
 
   /// Where ops against `slot` go right now: the replica manager's primary
   /// route (rkey + fence epoch) when attached, else the provisioning-time

@@ -5,9 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/rng.h"
 #include "core/snapshot.h"
-#include "index/pq.h"
 
 namespace dhnsw {
 
@@ -65,53 +63,6 @@ Result<DhnswEngine> DhnswEngine::Build(const VectorSet& base, DhnswConfig config
   engine.partition_sizes_.reserve(parts.clusters.size());
   for (const Cluster& c : parts.clusters) {
     engine.partition_sizes_.push_back(static_cast<uint32_t>(c.index.size()));
-  }
-
-  // 2b. Optional PQ codebook: one shared quantizer trained on a seeded
-  //     reservoir of residuals (vector - owning representative), attached to
-  //     the meta so Provision writes codes sections and every compute node
-  //     receives the codebook inside the meta blob.
-  if (config.pq.enabled) {
-    if (config.sub_hnsw.metric == Metric::kCosine) {
-      return Status::InvalidArgument("PqConfig: cosine metric is not supported by ADC");
-    }
-    if (config.pq.m == 0 || engine.dim_ % config.pq.m != 0) {
-      return Status::InvalidArgument("PqConfig: m must divide dim");
-    }
-    const uint32_t dim = engine.dim_;
-    const size_t cap = config.pq.train_sample_cap == 0
-                           ? base.size()
-                           : std::min<size_t>(config.pq.train_sample_cap, base.size());
-    std::vector<float> samples;
-    samples.reserve(cap * dim);
-    Xoshiro256 rng(config.pq.seed);
-    size_t seen = 0;
-    std::vector<float> residual(dim);
-    for (uint32_t c = 0; c < parts.clusters.size(); ++c) {
-      const std::span<const float> center = meta.index().vector(c);
-      const auto& members = parts.clusters[c].index;
-      for (uint32_t local = 0; local < members.size(); ++local) {
-        const std::span<const float> v = members.vector(local);
-        for (uint32_t d = 0; d < dim; ++d) residual[d] = v[d] - center[d];
-        // Algorithm R over the fixed cluster-major visit order: deterministic
-        // for a given (dataset, partitioning, seed).
-        if (samples.size() < cap * dim) {
-          samples.insert(samples.end(), residual.begin(), residual.end());
-        } else {
-          const uint64_t slot = rng.NextBounded(seen + 1);
-          if (slot < cap) {
-            std::copy(residual.begin(), residual.end(),
-                      samples.begin() + static_cast<size_t>(slot) * dim);
-          }
-        }
-        ++seen;
-      }
-    }
-    DHNSW_ASSIGN_OR_RETURN(
-        ProductQuantizer quantizer,
-        ProductQuantizer::Train(dim, config.pq.m, samples, config.pq.train_iterations,
-                                config.pq.seed));
-    meta.set_quantizer(std::move(quantizer));
   }
 
   // 3. Fabric + memory instance + RDMA-friendly layout (§3.2).

@@ -27,24 +27,6 @@
 
 namespace dhnsw {
 
-/// Product-quantization deployment knob (tentpole of the `payload=pq` read
-/// path). When enabled, Build trains one shared codebook on a deterministic
-/// sample of residuals (vector - owning partition's representative) and
-/// provisions every cluster blob with an m-byte-per-vector codes section, so
-/// compute instances may search with ComputeOptions::payload = kPq /
-/// kPqRerank. Raw float rows are still stored after the compressed prefix —
-/// `payload` stays a per-instance choice, and re-rank can fetch exact rows.
-struct PqConfig {
-  bool enabled = false;
-  /// Subquantizers per vector (= code bytes per vector). Must divide dim.
-  uint32_t m = 8;
-  uint32_t train_iterations = 12;  ///< Lloyd's iterations per subspace
-  /// Residual sample cap for training (deterministic reservoir over the
-  /// partitioned dataset). 0 = train on every residual.
-  uint32_t train_sample_cap = 16384;
-  uint64_t seed = 0x5eedc0debabeULL;
-};
-
 struct DhnswConfig {
   MetaHnswOptions meta;          ///< representative sampling + meta graph
   HnswOptions sub_hnsw;          ///< per-partition graph build parameters
@@ -56,11 +38,10 @@ struct DhnswConfig {
   /// semantics pin `transport.kind = rdma::TransportKind::kSim` explicitly.
   rdma::TransportOptions transport;
   ComputeOptions compute;        ///< per-instance query options
-  PqConfig pq;                   ///< product-quantized payload sections
   size_t num_compute_nodes = 1;  ///< instances in the compute pool
   size_t num_memory_nodes = 1;   ///< instances in the memory pool (shards)
   /// Worker threads for the whole build pipeline: k-means, classification,
-  /// sub-HNSW construction, PQ encode, and serialization. 1 = fully
+  /// sub-HNSW construction, and serialization. 1 = fully
   /// sequential (the seed behaviour).
   size_t build_threads = 1;
   /// Reproducible builds: keep parallelism to the stages that are

@@ -168,9 +168,7 @@ void EncodeClusterMeta(const ClusterMeta& m, std::span<uint8_t> dst) {
   w.PutU32(m.partner);
   w.PutU32(m.record_size);
   w.PutU32(m.node_slot);
-  w.PutF32(m.radius);
-  w.PutU64(m.pq_head_size);
-  assert(buf.size() == ClusterMeta::kCrcOffset);
+  buf.resize(ClusterMeta::kCrcOffset, 0);  // reserved [56, 68)
   w.PutU32(ClusterMetaCrc({buf.data(), buf.size()}));
   while (buf.size() < ClusterMeta::kEncodedSize) buf.push_back(0);
   std::copy(buf.begin(), buf.end(), dst.begin());
@@ -199,8 +197,6 @@ Result<ClusterMeta> DecodeClusterMeta(std::span<const uint8_t> src) {
   DHNSW_RETURN_IF_ERROR(r.GetU32(&m.partner));
   DHNSW_RETURN_IF_ERROR(r.GetU32(&m.record_size));
   DHNSW_RETURN_IF_ERROR(r.GetU32(&m.node_slot));
-  DHNSW_RETURN_IF_ERROR(r.GetF32(&m.radius));
-  DHNSW_RETURN_IF_ERROR(r.GetU64(&m.pq_head_size));
   return m;
 }
 

@@ -62,6 +62,7 @@ enum class OverflowDirection : uint32_t {
 /// over the *static* fields — bytes [0, 32) and [40, 68) — skipping
 /// `overflow_used` at [32, 40), which the insert protocol mutates in place
 /// with remote FAA and therefore cannot be covered by a write-once checksum.
+/// Bytes [56, 68) are reserved: written as zero, ignored on read.
 struct ClusterMeta {
   static constexpr size_t kEncodedSize = 72;
   /// Byte offset of `overflow_used` inside an encoded entry (FAA target).
@@ -81,17 +82,6 @@ struct ClusterMeta {
   /// is the primary (which also hosts the header/table/meta-HNSW); single-
   /// memory-node deployments use slot 0 everywhere.
   uint32_t node_slot = 0;
-  /// Max L2 distance (not squared) from the partition's meta-HNSW
-  /// representative to any member — the cluster's covering radius. Enables
-  /// sound triangle-inequality pruning: no member can be closer to a query
-  /// than dist(q, rep) - radius. 0 when unknown / non-L2 metric.
-  float radius = 0.0f;
-  /// Byte length of the blob's PQ prefix (header + extension sections +
-  /// payload up to the float rows). A `payload=pq` reader fetches exactly
-  /// [blob_offset, blob_offset + pq_head_size); raw vector i for re-rank
-  /// lives at blob_offset + pq_head_size + i*dim*4. 0 when the region was
-  /// provisioned without PQ codes.
-  uint64_t pq_head_size = 0;
 
   static constexpr uint32_t kNoPartner = 0xFFFFFFFFu;
 

@@ -1,7 +1,5 @@
 #include "core/memory_node.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -25,11 +23,6 @@ Status MemoryNode::Provision(const MetaHnsw& meta, const std::vector<Cluster>& c
   if (clusters.empty()) return Status::InvalidArgument("Provision: no clusters");
   WallTimer provision_timer;
 
-  const ProductQuantizer* pq = meta.quantizer();
-  if (pq != nullptr && pq->dim() != meta.dim()) {
-    return Status::InvalidArgument("Provision: quantizer dim mismatch");
-  }
-
   std::unique_ptr<ThreadPool> pool;
   if (encode_threads > 1 && clusters.size() > 1) {
     pool = std::make_unique<ThreadPool>(encode_threads);
@@ -50,30 +43,15 @@ Status MemoryNode::Provision(const MetaHnsw& meta, const std::vector<Cluster>& c
     return Status::Ok();
   };
 
-  // Analyze: exact blob sizes (PlanClusterSize mirrors EncodeCluster
-  // byte-for-byte) and covering radii, one cluster per task. The layout is
-  // planned from these predictions so the encode below can stream each blob
-  // straight into its final offset instead of holding every blob in memory.
+  // Analyze: exact blob sizes (EncodedClusterSize mirrors EncodeCluster
+  // byte-for-byte), one cluster per task. The layout is planned from these
+  // predictions so the encode below can stream each blob straight into its
+  // final offset instead of holding every blob in memory.
   const std::vector<uint8_t> meta_blob = meta.ToBlob();
-  const uint32_t code_m = pq != nullptr ? pq->m() : 0;
   const Metric metric = meta.index().options().metric;
   std::vector<uint64_t> blob_sizes(clusters.size());
-  std::vector<uint64_t> head_sizes(clusters.size(), 0);
-  std::vector<float> radii(clusters.size(), 0.0f);
   DHNSW_RETURN_IF_ERROR(for_each_cluster("analyze", [&](size_t c) {
-    const ClusterSizePlan size_plan = PlanClusterSize(clusters[c], code_m);
-    blob_sizes[c] = size_plan.total_size;
-    head_sizes[c] = size_plan.pq_head_size;
-    // Covering radius (L2 only): max distance from the partition's
-    // representative to any member. Powers compute-side adaptive pruning.
-    if (metric == Metric::kL2) {
-      const std::span<const float> center = meta.index().vector(c);
-      float max_sq = 0.0f;
-      for (uint32_t local = 0; local < clusters[c].index.size(); ++local) {
-        max_sq = std::max(max_sq, L2Sq(center, clusters[c].index.vector(local)));
-      }
-      radii[c] = std::sqrt(max_sq);
-    }
+    blob_sizes[c] = EncodedClusterSize(clusters[c]);
   }));
 
   const uint32_t dim = meta.dim();
@@ -82,10 +60,6 @@ Status MemoryNode::Provision(const MetaHnsw& meta, const std::vector<Cluster>& c
       plan_, PlanLayout(dim, metric, record_size, meta_blob.size(), blob_sizes, config,
                         num_shards));
   plan_.header.layout_version = layout_version;
-  for (uint32_t c = 0; c < head_sizes.size(); ++c) {
-    plan_.entries[c].pq_head_size = head_sizes[c];
-    plan_.entries[c].radius = radii[c];
-  }
 
   // Register one region per shard; slot 0 lives on this node, further slots
   // each get a fresh memory instance on the fabric.
@@ -121,36 +95,13 @@ Status MemoryNode::Provision(const MetaHnsw& meta, const std::vector<Cluster>& c
   // meta-HNSW blob (primary only).
   std::memcpy(mem.data() + plan_.header.meta_blob_offset, meta_blob.data(), meta_blob.size());
 
-  // Encode + store, streamed: each cluster's blob (with its PQ codes section
-  // when the meta carries a codebook — residuals against the partition's
-  // representative, re-encoded here so compaction, which replays Provision
-  // with the decoded meta, preserves PQ for free) is built and copied to its
+  // Encode + store, streamed: each cluster's blob is built and copied to its
   // planned offset, then freed. Peak memory is one blob per worker.
   DHNSW_RETURN_IF_ERROR(for_each_cluster("encode", [&](size_t c) {
-    std::vector<uint8_t> blob;
-    uint64_t head = 0;
-    if (pq == nullptr) {
-      blob = EncodeCluster(clusters[c]);
-    } else {
-      const std::span<const float> center = meta.index().vector(c);
-      const uint32_t count = clusters[c].index.size();
-      std::vector<uint8_t> codes(static_cast<size_t>(count) * pq->m());
-      std::vector<float> residual(pq->dim());
-      for (uint32_t local = 0; local < count; ++local) {
-        const std::span<const float> v = clusters[c].index.vector(local);
-        for (uint32_t d = 0; d < pq->dim(); ++d) residual[d] = v[d] - center[d];
-        pq->Encode(residual,
-                   std::span<uint8_t>(codes).subspan(
-                       static_cast<size_t>(local) * pq->m(), pq->m()));
-      }
-      ClusterPqExtensions ext;
-      ext.codes = codes;
-      ext.code_m = pq->m();
-      blob = EncodeCluster(clusters[c], ext, &head);
-    }
-    if (blob.size() != blob_sizes[c] || head != head_sizes[c]) {
+    const std::vector<uint8_t> blob = EncodeCluster(clusters[c]);
+    if (blob.size() != blob_sizes[c]) {
       throw std::logic_error("cluster " + std::to_string(c) +
-                             " encoded size disagrees with PlanClusterSize");
+                             " encoded size disagrees with EncodedClusterSize");
     }
     std::memcpy(shard_mem[plan_.entries[c].node_slot].data() + plan_.entries[c].blob_offset,
                 blob.data(), blob.size());

@@ -53,7 +53,7 @@ class MemoryNode {
   /// spread round-robin over that many memory instances, while the header,
   /// table, and meta-HNSW stay on the primary (paper Fig. 2's memory pool).
   /// `encode_threads` > 1 parallelizes the per-cluster work (size analysis,
-  /// PQ encode, serialization) over that many workers; the layout is planned
+  /// serialization) over that many workers; the layout is planned
   /// from exact predicted sizes and each blob is encoded straight into its
   /// final region offset, so peak memory is ~encode_threads blobs instead of
   /// all of them, and the provisioned bytes are identical for every thread

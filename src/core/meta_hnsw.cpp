@@ -244,13 +244,9 @@ Result<MetaHnsw> MetaHnsw::FromBlob(std::span<const uint8_t> blob, ClusterExpect
   expect.partition_id = kMetaPartitionId;
   // M and (unless `expect` pins it) the metric come from the blob header.
   DHNSW_ASSIGN_OR_RETURN(Cluster cluster, DecodeCluster(blob, HnswOptions{}, expect));
-  DHNSW_ASSIGN_OR_RETURN(std::optional<ProductQuantizer> codebook,
-                         DecodeClusterCodebook(blob));
   // ef_route is a local search knob, not graph state; start from the default.
-  MetaHnsw meta(std::move(cluster.index), std::move(cluster.global_ids),
-                MetaHnswOptions{}.ef_route);
-  if (codebook) meta.set_quantizer(*std::move(codebook));
-  return meta;
+  return MetaHnsw(std::move(cluster.index), std::move(cluster.global_ids),
+                  MetaHnswOptions{}.ef_route);
 }
 
 std::vector<uint8_t> MetaHnsw::ToBlob() const {
@@ -272,9 +268,7 @@ std::vector<uint8_t> MetaHnsw::ToBlob() const {
       std::vector<float>(index_.vectors().begin(), index_.vectors().end()),
       std::move(levels), std::move(links), index_.entry_point());
   Cluster view(kMetaPartitionId, std::move(copy).value(), rep_global_ids_);
-  ClusterPqExtensions ext;
-  if (quantizer_) ext.codebook = &*quantizer_;
-  return EncodeCluster(view, ext, nullptr);
+  return EncodeCluster(view);
 }
 
 uint32_t MetaHnsw::RouteOne(std::span<const float> v) const {
@@ -283,16 +277,11 @@ uint32_t MetaHnsw::RouteOne(std::span<const float> v) const {
 }
 
 std::vector<uint32_t> MetaHnsw::RouteMany(std::span<const float> v, uint32_t b) const {
-  const std::vector<Scored> top = RouteManyScored(v, b);
+  const std::vector<Scored> top = index_.Search(v, b, std::max(ef_route_, b));
   std::vector<uint32_t> out;
   out.reserve(top.size());
   for (const Scored& s : top) out.push_back(s.id);
   return out;
-}
-
-std::vector<Scored> MetaHnsw::RouteManyScored(std::span<const float> v, uint32_t b) const {
-  const uint32_t ef = std::max(ef_route_, b);
-  return index_.Search(v, b, ef);
 }
 
 }  // namespace dhnsw

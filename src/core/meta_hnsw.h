@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "common/status.h"
 #include "dataset/dataset.h"
 #include "index/hnsw.h"
-#include "index/pq.h"
 #include "serialize/cluster_blob.h"
 
 namespace dhnsw {
@@ -83,19 +81,6 @@ class MetaHnsw {
   /// Routes a query to its `b` closest partitions, best first (query path).
   std::vector<uint32_t> RouteMany(std::span<const float> v, uint32_t b) const;
 
-  /// Like RouteMany, but keeps the representative distances (id = partition,
-  /// distance = dist(v, representative)). Used by adaptive cluster pruning.
-  std::vector<Scored> RouteManyScored(std::span<const float> v, uint32_t b) const;
-
-  /// Shared PQ codebook trained on build residuals (vector minus owning
-  /// representative). Serialized into the meta blob as an extension section,
-  /// so every compute instance receives it with the one-time meta fetch.
-  /// nullptr when the deployment was built without PQ.
-  const ProductQuantizer* quantizer() const noexcept {
-    return quantizer_ ? &*quantizer_ : nullptr;
-  }
-  void set_quantizer(ProductQuantizer q) { quantizer_ = std::move(q); }
-
   /// Serialized form — what the memory pool stores and compute nodes cache.
   /// (The paper reports 0.373 MB for SIFT1M, 1.960 MB for GIST1M.)
   std::vector<uint8_t> ToBlob() const;
@@ -108,7 +93,6 @@ class MetaHnsw {
   HnswIndex index_;                     ///< graph over representatives
   std::vector<uint32_t> rep_global_ids_;///< partition -> base-vector id
   uint32_t ef_route_;
-  std::optional<ProductQuantizer> quantizer_;  ///< shared PQ codebook
 };
 
 }  // namespace dhnsw

@@ -102,9 +102,6 @@ const KernelTable& ScalarKernels() noexcept {
       &RowsImpl<&L2SqScalar>,
       &RowsImpl<&IpScalar>,
       &RowsImpl<&CosineScalar>,
-      &AdcScalarBody,
-      &AdcGatherImpl<&AdcScalarBody>,
-      &AdcRowsImpl<&AdcScalarBody>,
   };
   return table;
 }

@@ -8,18 +8,12 @@
 // to anything but "0" pins the process to the scalar tier — the parity tests
 // and CI run both ways.
 //
-// Four kernel shapes:
+// Three kernel shapes:
 //  - pair:    one (query, vector) pair -> one distance,
 //  - gather:  one query against n rows of a row-major base matrix addressed
 //             by id (out[i] = dist(q, base + ids[i]*dim)), with software
 //             prefetch of upcoming rows — the HNSW neighbor-expansion shape,
-//  - rows:    one query against n *contiguous* rows — the flat-scan shape,
-//  - adc:     asymmetric distance computation for product-quantized codes —
-//             sum m per-subquantizer lookup-table entries selected by an
-//             m-byte code (lut is m x 256 row-major, built per query by
-//             ProductQuantizer::BuildLut*). Metric-agnostic: the metric is
-//             baked into the LUT values. Comes in pair/gather/rows shapes
-//             like the float kernels.
+//  - rows:    one query against n *contiguous* rows — the flat-scan shape.
 //
 // Numerical contract (holds for every tier):
 //  - all tiers accumulate in balanced partial sums (8/16 stripes), so any two
@@ -27,10 +21,6 @@
 //    against the scalar reference (use `UlpDiff` for principled comparison),
 //  - within one tier, gather/rows results are bit-identical to the pair
 //    kernel applied per element,
-//  - the adc kernels are *bit-identical across every tier* (stronger than
-//    the 4-ULP pair budget): each tier accumulates the m lookups in the same
-//    8 balanced stripes and reduces them in the same pairwise order, so a
-//    PQ-scored search gives byte-identical results under DHNSW_FORCE_SCALAR,
 //  - cosine zero-vector convention: whenever the norm product is not a
 //    positive finite number (either vector has zero norm, or the product
 //    underflows/overflows to 0/inf/NaN), the distance is exactly 1.0f —
@@ -66,17 +56,6 @@ using GatherKernel = void (*)(const float* query, const float* base, size_t dim,
 using RowsKernel = void (*)(const float* query, const float* rows, size_t dim,
                             size_t n, float* out) noexcept;
 
-/// ADC signatures. `lut` is the per-query table, m x 256 row-major floats;
-/// `code`/`codes` are m-byte PQ codes (row-major for the batched shapes).
-/// Returns/writes the LUT sum; the caller adds any metric bias (IP) itself.
-using AdcKernel = float (*)(const float* lut, const uint8_t* code,
-                            size_t m) noexcept;
-using AdcGatherKernel = void (*)(const float* lut, const uint8_t* codes,
-                                 size_t m, const uint32_t* ids, size_t n,
-                                 float* out) noexcept;
-using AdcRowsKernel = void (*)(const float* lut, const uint8_t* codes, size_t m,
-                               size_t n, float* out) noexcept;
-
 /// One ISA tier's full kernel set. Hot paths hoist the table (or individual
 /// function pointers) out of their loops once instead of re-dispatching.
 struct KernelTable {
@@ -84,9 +63,6 @@ struct KernelTable {
   PairKernel l2, ip, cosine;
   GatherKernel l2_gather, ip_gather, cosine_gather;
   RowsKernel l2_rows, ip_rows, cosine_rows;
-  AdcKernel adc;
-  AdcGatherKernel adc_gather;
-  AdcRowsKernel adc_rows;
 
   PairKernel Pair(Metric m) const noexcept {
     switch (m) {

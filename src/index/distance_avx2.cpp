@@ -118,9 +118,6 @@ const KernelTable& Avx2Kernels() noexcept {
       &RowsImpl<&L2SqAvx2>,
       &RowsImpl<&IpAvx2>,
       &RowsImpl<&CosineAvx2>,
-      &AdcAvx2Body,
-      &AdcGatherImpl<&AdcAvx2Body>,
-      &AdcRowsImpl<&AdcAvx2Body>,
   };
   return table;
 }

@@ -133,9 +133,6 @@ const KernelTable& Avx512Kernels() noexcept {
       &RowsImpl<&L2SqAvx512>,
       &RowsImpl<&IpAvx512>,
       &RowsImpl<&CosineAvx512>,
-      &AdcAvx2Body,
-      &AdcGatherImpl<&AdcAvx2Body>,
-      &AdcRowsImpl<&AdcAvx2Body>,
   };
   return table;
 }

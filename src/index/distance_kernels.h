@@ -8,10 +8,6 @@
 // each TU they compile under that TU's ISA flags and inline fully.
 #pragma once
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "index/distance.h"
 
 namespace dhnsw::detail {
@@ -85,89 +81,6 @@ void RowsImpl(const float* query, const float* rows, size_t dim, size_t n,
               float* out) noexcept {
   for (size_t i = 0; i < n; ++i) {
     out[i] = Pair(query, rows + i * dim, dim);
-  }
-}
-
-/// --- ADC (asymmetric distance over PQ codes) bodies ---
-///
-/// Contract (distance.h "Numerical contract"): ADC results are bit-identical
-/// across EVERY tier. Each body accumulates lookup i into stripe i%8 in block
-/// order and reduces (((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)))+tail, exactly like
-/// the scalar reference — the SIMD variants just compute the same stripes in
-/// vector lanes. Tests assert UlpDiff == 0 between tiers.
-
-/// Scalar/NEON reference body. The LUT is small enough (m*1KiB) to stay hot
-/// in L1/L2, so plain loads are already fast; NEON has no gather anyway.
-inline float AdcScalarBody(const float* lut, const uint8_t* code,
-                           size_t m) noexcept {
-  float acc[8] = {};
-  size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    for (size_t j = 0; j < 8; ++j) {
-      acc[j] += lut[(i + j) * 256 + code[i + j]];
-    }
-  }
-  float tail = 0.0f;
-  for (; i < m; ++i) tail += lut[i * 256 + code[i]];
-  return (((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-          ((acc[4] + acc[5]) + (acc[6] + acc[7]))) + tail;
-}
-
-#if defined(__AVX2__)
-/// Pairwise reduce matching the scalar stripe tree bit-for-bit:
-/// (((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))).
-inline float AdcReduceAdd8(__m256 v) noexcept {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  const __m128 plo = _mm_hadd_ps(lo, lo);  // [l0+l1, l2+l3, ...]
-  const __m128 phi = _mm_hadd_ps(hi, hi);  // [l4+l5, l6+l7, ...]
-  const float l =
-      _mm_cvtss_f32(plo) + _mm_cvtss_f32(_mm_shuffle_ps(plo, plo, 0x55));
-  const float h =
-      _mm_cvtss_f32(phi) + _mm_cvtss_f32(_mm_shuffle_ps(phi, phi, 0x55));
-  return l + h;
-}
-
-/// Hardware-gather body shared by the AVX2 and AVX-512 TUs (both compile
-/// with __AVX2__). One 8-lane accumulator — lane j holds scalar stripe j —
-/// so the result is bit-identical to AdcScalarBody (adds only, no FMA).
-inline float AdcAvx2Body(const float* lut, const uint8_t* code,
-                         size_t m) noexcept {
-  const __m256i lane_base =
-      _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792);
-  __m256 acc = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code + i));
-    const __m256i idx = _mm256_add_epi32(
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i * 256)),
-                         lane_base),
-        _mm256_cvtepu8_epi32(bytes));
-    acc = _mm256_add_ps(acc, _mm256_i32gather_ps(lut, idx, 4));
-  }
-  float tail = 0.0f;
-  for (; i < m; ++i) tail += lut[i * 256 + code[i]];
-  return AdcReduceAdd8(acc) + tail;
-}
-#endif  // __AVX2__
-
-/// out[i] = Adc(lut, codes + i*m) over contiguous code rows.
-template <AdcKernel Adc>
-void AdcRowsImpl(const float* lut, const uint8_t* codes, size_t m, size_t n,
-                 float* out) noexcept {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = Adc(lut, codes + i * m, m);
-  }
-}
-
-/// out[i] = Adc(lut, codes + ids[i]*m) — the PQ neighbor-expansion shape.
-/// Code rows are tiny (m bytes) and the LUT is resident; no prefetch.
-template <AdcKernel Adc>
-void AdcGatherImpl(const float* lut, const uint8_t* codes, size_t m,
-                   const uint32_t* ids, size_t n, float* out) noexcept {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = Adc(lut, codes + static_cast<size_t>(ids[i]) * m, m);
   }
 }
 

@@ -101,9 +101,6 @@ const KernelTable& NeonKernels() noexcept {
       &RowsImpl<&L2SqNeon>,
       &RowsImpl<&IpNeon>,
       &RowsImpl<&CosineNeon>,
-      &AdcScalarBody,
-      &AdcGatherImpl<&AdcScalarBody>,
-      &AdcRowsImpl<&AdcScalarBody>,
   };
   return table;
 }

@@ -19,7 +19,6 @@ static_assert(std::endian::native == std::endian::little);
 
 constexpr uint32_t kNoMaxLevel = 0xFFFFFFFFu;  // empty-graph sentinel
 constexpr uint16_t kMetricMask = 0x7;
-constexpr size_t kExtSizeOffset = 44;  // ext_size's byte offset in the header
 
 void EncodeHeader(const ClusterHeader& h, BinaryWriter* w) {
   const size_t start = w->size();
@@ -34,7 +33,7 @@ void EncodeHeader(const ClusterHeader& h, BinaryWriter* w) {
   w->PutU32(h.max_level);
   w->PutU64(h.payload_size);
   w->PutU32(h.payload_crc);
-  w->PutU32(h.ext_size);
+  w->PutU32(h.reserved);
   while (w->size() - start < ClusterHeader::kEncodedSize) w->PutU8(0);
   assert(w->size() - start == ClusterHeader::kEncodedSize);
 }
@@ -50,7 +49,7 @@ Status DecodeHeader(BinaryReader* r, ClusterHeader* h) {
     return Status::Corruption("cluster blob: unsupported version");
   }
   DHNSW_RETURN_IF_ERROR(r->GetU16(&h->flags));
-  if ((h->flags & ~(kMetricMask | ClusterHeader::kFlagHasExtensions)) != 0) {
+  if ((h->flags & ~kMetricMask) != 0) {
     return Status::Corruption("cluster blob: unknown flag bits");
   }
   if ((h->flags & kMetricMask) > static_cast<uint16_t>(Metric::kCosine)) {
@@ -64,68 +63,9 @@ Status DecodeHeader(BinaryReader* r, ClusterHeader* h) {
   DHNSW_RETURN_IF_ERROR(r->GetU32(&h->max_level));
   DHNSW_RETURN_IF_ERROR(r->GetU64(&h->payload_size));
   DHNSW_RETURN_IF_ERROR(r->GetU32(&h->payload_crc));
-  DHNSW_RETURN_IF_ERROR(r->GetU32(&h->ext_size));
-  if ((h->flags & ClusterHeader::kFlagHasExtensions) == 0 && h->ext_size != 0) {
-    return Status::Corruption("cluster blob: ext_size without extension flag");
-  }
-  if ((h->flags & ClusterHeader::kFlagHasExtensions) != 0 && h->ext_size == 0) {
-    return Status::Corruption("cluster blob: extension flag without sections");
-  }
+  DHNSW_RETURN_IF_ERROR(r->GetU32(&h->reserved));
+  if (h->reserved != 0) return Status::Corruption("cluster blob: reserved word set");
   return r->Skip(ClusterHeader::kEncodedSize - (r->offset() - start));
-}
-
-/// One parsed extension section (body CRC already verified).
-struct ExtSection {
-  uint16_t kind = 0;
-  uint16_t version = 0;
-  std::span<const uint8_t> body;
-};
-
-constexpr uint16_t kExtKindPqCodes = 1;
-constexpr uint16_t kExtKindPqCodebook = 2;
-
-/// Walks the extension area [kEncodedSize, kEncodedSize + ext_size) of
-/// `bytes`, verifying framing + per-section CRCs. Corruption messages carry
-/// the absolute byte offset of the failure.
-Status ParseExtSections(std::span<const uint8_t> bytes, const ClusterHeader& h,
-                        std::vector<ExtSection>* out) {
-  out->clear();
-  if (h.ext_size == 0) return Status::Ok();
-  const size_t ext_end = ClusterHeader::kEncodedSize + h.ext_size;
-  if (bytes.size() < ext_end) {
-    return Status::Corruption("cluster blob: extension area truncated at offset " +
-                              std::to_string(bytes.size()));
-  }
-  BinaryReader r(bytes.first(ext_end));
-  Status skip = r.Skip(ClusterHeader::kEncodedSize);
-  assert(skip.ok());
-  (void)skip;
-  while (r.offset() < ext_end) {
-    const size_t section_start = r.offset();
-    ExtSection s;
-    uint32_t body_size = 0;
-    if (!r.GetU16(&s.kind).ok() || !r.GetU16(&s.version).ok() ||
-        !r.GetU32(&body_size).ok()) {
-      return Status::Corruption("cluster blob: extension header truncated at offset " +
-                                std::to_string(section_start));
-    }
-    if (r.remaining() < static_cast<size_t>(body_size) + 4) {
-      return Status::Corruption("cluster blob: extension body truncated at offset " +
-                                std::to_string(r.offset()));
-    }
-    s.body = bytes.subspan(r.offset(), body_size);
-    skip = r.Skip(body_size);
-    assert(skip.ok());
-    uint32_t stored_crc = 0;
-    skip = r.GetU32(&stored_crc);
-    assert(skip.ok());
-    if (Crc32c(s.body) != stored_crc) {
-      return Status::Corruption("cluster blob: extension CRC mismatch at offset " +
-                                std::to_string(section_start));
-    }
-    out->push_back(s);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -145,26 +85,7 @@ size_t EncodedClusterSize(const Cluster& cluster) {
   return ClusterHeader::kEncodedSize + payload;
 }
 
-ClusterSizePlan PlanClusterSize(const Cluster& cluster, uint32_t code_m) {
-  const size_t count = cluster.index.size();
-  const size_t payload_size = EncodedClusterSize(cluster) - ClusterHeader::kEncodedSize;
-  const size_t vectors_offset = payload_size - count * cluster.index.dim() * 4;
-  // Codes section: 8-byte framing + fixed 20-byte body head + codes + 4-byte CRC.
-  const size_t ext_size = code_m > 0 ? 8 + 20 + count * code_m + 4 : 0;
-  ClusterSizePlan plan;
-  plan.total_size = ClusterHeader::kEncodedSize + ext_size + payload_size;
-  plan.pq_head_size =
-      code_m > 0 ? ClusterHeader::kEncodedSize + ext_size + vectors_offset : 0;
-  return plan;
-}
-
 std::vector<uint8_t> EncodeCluster(const Cluster& cluster) {
-  return EncodeCluster(cluster, ClusterPqExtensions{}, nullptr);
-}
-
-std::vector<uint8_t> EncodeCluster(const Cluster& cluster,
-                                   const ClusterPqExtensions& ext,
-                                   uint64_t* pq_head_size) {
   const HnswIndex& index = cluster.index;
   assert(cluster.global_ids.size() == index.size());
 
@@ -184,44 +105,11 @@ std::vector<uint8_t> EncodeCluster(const Cluster& cluster,
     }
     w.PutF32Array(index.vectors());
   }
-  // The float rows always close the payload, so the graph prefix ends here.
-  const uint64_t vectors_offset =
-      payload.size() - static_cast<size_t>(index.size()) * index.dim() * 4;
-
-  const bool has_codes = ext.code_m > 0;
-  std::vector<uint8_t> ext_bytes;
-  {
-    BinaryWriter w(&ext_bytes);
-    const auto append_section = [&w](uint16_t kind, std::span<const uint8_t> body) {
-      w.PutU16(kind);
-      w.PutU16(1);  // section version
-      w.PutU32(static_cast<uint32_t>(body.size()));
-      w.PutBytes(body);
-      w.PutU32(Crc32c(body));
-    };
-    if (has_codes) {
-      assert(ext.codes.size() ==
-             static_cast<size_t>(index.size()) * ext.code_m);
-      std::vector<uint8_t> body;
-      BinaryWriter bw(&body);
-      bw.PutU16(static_cast<uint16_t>(ext.code_m));
-      bw.PutU16(0);  // reserved
-      bw.PutU32(static_cast<uint32_t>(index.size()));
-      bw.PutU64(vectors_offset);
-      bw.PutU32(Crc32c(std::span<const uint8_t>(payload).first(vectors_offset)));
-      bw.PutBytes(ext.codes);
-      append_section(kExtKindPqCodes, body);
-    }
-    if (ext.codebook != nullptr) {
-      append_section(kExtKindPqCodebook, ext.codebook->ToBytes());
-    }
-  }
 
   ClusterHeader h;
   // Blobs are self-describing: the metric rides in the flags field so a
   // decoder (or a compactor on another node) never guesses it.
   h.flags = static_cast<uint16_t>(index.options().metric);
-  if (!ext_bytes.empty()) h.flags |= ClusterHeader::kFlagHasExtensions;
   h.partition_id = cluster.partition_id;
   h.dim = index.dim();
   h.count = static_cast<uint32_t>(index.size());
@@ -231,23 +119,13 @@ std::vector<uint8_t> EncodeCluster(const Cluster& cluster,
                               : static_cast<uint32_t>(index.max_level_in_graph());
   h.payload_size = payload.size();
   h.payload_crc = Crc32c(payload);
-  h.ext_size = static_cast<uint32_t>(ext_bytes.size());
-
-  if (pq_head_size != nullptr) {
-    *pq_head_size = has_codes
-                        ? ClusterHeader::kEncodedSize + ext_bytes.size() + vectors_offset
-                        : 0;
-  }
 
   std::vector<uint8_t> out;
-  out.reserve(ClusterHeader::kEncodedSize + ext_bytes.size() + payload.size());
+  out.reserve(ClusterHeader::kEncodedSize + payload.size());
   BinaryWriter w(&out);
   EncodeHeader(h, &w);
-  w.PutBytes(ext_bytes);
   w.PutBytes(payload);
-  // Keep the size predictor honest (codebook sections are out of its scope).
-  assert(ext.codebook != nullptr ||
-         out.size() == PlanClusterSize(cluster, ext.code_m).total_size);
+  assert(out.size() == EncodedClusterSize(cluster));
   return out;
 }
 
@@ -259,26 +137,14 @@ Result<ClusterHeader> PeekClusterHeader(std::span<const uint8_t> bytes) {
 }
 
 bool ClusterView::PayloadAligned(std::span<const uint8_t> blob) noexcept {
-  if (blob.size() < ClusterHeader::kEncodedSize) return true;
-  uint32_t ext_size = 0;
-  std::memcpy(&ext_size, blob.data() + kExtSizeOffset, sizeof ext_size);
-  const uintptr_t payload = reinterpret_cast<uintptr_t>(blob.data()) +
-                            ClusterHeader::kEncodedSize + ext_size;
-  return payload % 4 == 0;
+  return reinterpret_cast<uintptr_t>(blob.data()) % 4 == 0;
 }
 
 std::span<const uint8_t> ClusterView::CopyAligned(std::span<const uint8_t> blob,
                                                   AlignedBuffer* storage) {
-  uint32_t ext_size = 0;
-  if (blob.size() >= ClusterHeader::kEncodedSize) {
-    std::memcpy(&ext_size, blob.data() + kExtSizeOffset, sizeof ext_size);
-  }
-  // The buffer is 64-aligned: start the copy so header + extensions end on a
-  // word boundary.
-  const size_t pad = (4 - (ClusterHeader::kEncodedSize + ext_size) % 4) % 4;
-  *storage = AlignedBuffer(pad + blob.size(), 64);
-  std::memcpy(storage->data() + pad, blob.data(), blob.size());
-  return std::as_const(*storage).span().subspan(pad, blob.size());
+  *storage = AlignedBuffer(blob.size(), 64);
+  std::memcpy(storage->data(), blob.data(), blob.size());
+  return std::as_const(*storage).span();
 }
 
 Result<ClusterView> ClusterView::Parse(std::span<const uint8_t> blob,
@@ -300,17 +166,12 @@ Result<ClusterView> ClusterView::Parse(std::span<const uint8_t> blob,
   }
   if (h.dim == 0) return Status::Corruption("cluster blob: zero dim");
   if (h.m < 2 || h.m > kMaxM) return Status::Corruption("cluster blob: implausible M");
-  if (h.ext_size > 0) {
-    // Verify framing/CRCs but otherwise skip: the view ignores PQ sections
-    // (the payload is unchanged by their presence).
-    std::vector<ExtSection> sections;
-    DHNSW_RETURN_IF_ERROR(ParseExtSections(blob, h, &sections));
-  }
-  const size_t payload_start = ClusterHeader::kEncodedSize + h.ext_size;
-  if (blob.size() < payload_start || blob.size() - payload_start < h.payload_size) {
+  // DecodeHeader consumed kEncodedSize bytes, so the subtraction is safe.
+  if (blob.size() - ClusterHeader::kEncodedSize < h.payload_size) {
     return Status::Corruption("cluster blob: payload truncated");
   }
-  const std::span<const uint8_t> payload = blob.subspan(payload_start, h.payload_size);
+  const std::span<const uint8_t> payload =
+      blob.subspan(ClusterHeader::kEncodedSize, h.payload_size);
   if (reinterpret_cast<uintptr_t>(payload.data()) % 4 != 0) {
     return Status::InvalidArgument("cluster view: payload is not 4-byte aligned");
   }
@@ -445,121 +306,6 @@ Result<Cluster> DecodeCluster(std::span<const uint8_t> bytes,
   const std::span<const uint32_t> gids = view.global_ids();
   return Cluster(view.partition_id(), std::move(index),
                  std::vector<uint32_t>(gids.begin(), gids.end()));
-}
-
-Result<std::optional<ProductQuantizer>> DecodeClusterCodebook(
-    std::span<const uint8_t> bytes) {
-  BinaryReader r(bytes);
-  ClusterHeader h;
-  DHNSW_RETURN_IF_ERROR(DecodeHeader(&r, &h));
-  std::vector<ExtSection> sections;
-  DHNSW_RETURN_IF_ERROR(ParseExtSections(bytes, h, &sections));
-  for (const ExtSection& s : sections) {
-    if (s.kind != kExtKindPqCodebook) continue;
-    DHNSW_ASSIGN_OR_RETURN(ProductQuantizer pq,
-                           ProductQuantizer::FromBytes(s.body));
-    return std::optional<ProductQuantizer>(std::move(pq));
-  }
-  return std::optional<ProductQuantizer>();
-}
-
-Result<PqCluster> DecodePqCluster(std::span<const uint8_t> bytes) {
-  BinaryReader r(bytes);
-  ClusterHeader h;
-  DHNSW_RETURN_IF_ERROR(DecodeHeader(&r, &h));
-  std::vector<ExtSection> sections;
-  DHNSW_RETURN_IF_ERROR(ParseExtSections(bytes, h, &sections));
-
-  const ExtSection* codes_section = nullptr;
-  for (const ExtSection& s : sections) {
-    if (s.kind == kExtKindPqCodes) codes_section = &s;
-  }
-  if (codes_section == nullptr) {
-    return Status::Corruption("cluster blob: no PQ codes section");
-  }
-
-  PqCluster pc;
-  pc.partition_id = h.partition_id;
-  pc.dim = h.dim;
-  pc.count = h.count;
-  pc.hnsw_m = h.m;
-  pc.entry_point = h.entry_point;
-  pc.max_level = h.max_level == kNoMaxLevel ? 0 : h.max_level;
-  pc.metric = static_cast<Metric>(h.flags & 0x7);
-
-  {
-    BinaryReader br(codes_section->body);
-    uint16_t code_m = 0, reserved = 0;
-    uint32_t count = 0, graph_crc = 0;
-    DHNSW_RETURN_IF_ERROR(br.GetU16(&code_m));
-    DHNSW_RETURN_IF_ERROR(br.GetU16(&reserved));
-    DHNSW_RETURN_IF_ERROR(br.GetU32(&count));
-    DHNSW_RETURN_IF_ERROR(br.GetU64(&pc.vectors_offset));
-    DHNSW_RETURN_IF_ERROR(br.GetU32(&graph_crc));
-    if (code_m == 0 || count != h.count ||
-        br.remaining() != static_cast<size_t>(count) * code_m) {
-      return Status::Corruption("cluster blob: PQ codes section geometry mismatch");
-    }
-    if (pc.vectors_offset + static_cast<uint64_t>(h.count) * h.dim * 4 !=
-        h.payload_size) {
-      return Status::Corruption("cluster blob: PQ vectors_offset inconsistent");
-    }
-    pc.m = code_m;
-    pc.codes.resize(static_cast<size_t>(count) * code_m);
-    DHNSW_RETURN_IF_ERROR(br.GetBytes(pc.codes));
-
-    const size_t graph_start = ClusterHeader::kEncodedSize + h.ext_size;
-    if (bytes.size() < graph_start + pc.vectors_offset) {
-      return Status::Corruption("cluster blob: PQ prefix truncated at offset " +
-                                std::to_string(bytes.size()));
-    }
-    const std::span<const uint8_t> graph =
-        bytes.subspan(graph_start, pc.vectors_offset);
-    if (Crc32c(graph) != graph_crc) {
-      return Status::Corruption("cluster blob: PQ graph CRC mismatch at offset " +
-                                std::to_string(graph_start));
-    }
-
-    // Graph prefix: ids, levels, adjacency — same layout as the raw payload,
-    // decoded into flat CSR adjacency instead of an HnswIndex.
-    BinaryReader gr(graph);
-    pc.global_ids.resize(h.count);
-    DHNSW_RETURN_IF_ERROR(gr.GetU32Array(pc.global_ids));
-    pc.levels.resize(h.count);
-    DHNSW_RETURN_IF_ERROR(gr.GetU32Array(pc.levels));
-
-    pc.span_index.resize(h.count);
-    size_t slots = 0;
-    for (uint32_t id = 0; id < h.count; ++id) {
-      pc.span_index[id] = static_cast<uint32_t>(slots);
-      slots += pc.levels[id] + 1;
-    }
-    pc.span_offsets.reserve(slots + 1);
-    for (uint32_t id = 0; id < h.count; ++id) {
-      for (uint32_t layer = 0; layer <= pc.levels[id]; ++layer) {
-        uint32_t degree = 0;
-        DHNSW_RETURN_IF_ERROR(gr.GetU32(&degree));
-        if (degree > 4 * std::max<uint32_t>(h.m, 1)) {
-          return Status::Corruption("cluster blob: implausible degree");
-        }
-        pc.span_offsets.push_back(static_cast<uint32_t>(pc.neighbor_ids.size()));
-        const size_t start = pc.neighbor_ids.size();
-        pc.neighbor_ids.resize(start + degree);
-        DHNSW_RETURN_IF_ERROR(gr.GetU32Array(
-            std::span<uint32_t>(pc.neighbor_ids).subspan(start, degree)));
-        for (size_t i = start; i < pc.neighbor_ids.size(); ++i) {
-          if (pc.neighbor_ids[i] >= h.count) {
-            return Status::Corruption("cluster blob: PQ neighbor id out of range");
-          }
-        }
-      }
-    }
-    pc.span_offsets.push_back(static_cast<uint32_t>(pc.neighbor_ids.size()));
-    if (h.count > 0 && pc.entry_point >= h.count) {
-      return Status::Corruption("cluster blob: PQ entry point out of range");
-    }
-  }
-  return pc;
 }
 
 }  // namespace dhnsw

@@ -4,26 +4,16 @@
 // floating-point vectors").
 //
 // Layout (little-endian):
-//   [48-byte header][extension sections, ext_size bytes][payload]
+//   [48-byte header][payload]
 //   payload := global_ids u32[count]
 //              levels     u32[count]
 //              adjacency  per node, per layer 0..level: degree u32, u32[degree]
 //              vectors    f32[count*dim]
 // The header carries a CRC-32C of the payload so a torn RDMA read of a
 // concurrently rebuilt cluster is detected instead of silently searched.
-//
-// Extension sections (version 1, present iff kFlagHasExtensions is set;
-// ext_size == 0 keeps the byte stream identical to pre-extension blobs):
-//   section := kind u16, version u16, body_size u32, body[body_size],
-//              crc u32 (CRC-32C of body)
-//   kind 1 (PQ codes):    m u16, reserved u16, count u32, vectors_offset u64,
-//                         graph_crc u32 (CRC-32C of payload[0, vectors_offset)
-//                         — validates a *prefix* read that stops before the
-//                         float rows), codes u8[count*m]
-//   kind 2 (PQ codebook): ProductQuantizer::ToBytes body (meta blob only)
-// The payload itself is unchanged by extensions, so `payload=pq` readers can
-// fetch just [0, pq_head_size) = header + extensions + payload up to
-// vectors_offset, and raw readers skip the extension area entirely.
+// Its last word is reserved and must be zero. Blobs written with PQ
+// extension sections set it and flags bit 3, so they are rejected as
+// corrupt rather than misread.
 //
 // Two readers share one parser. `ClusterView` validates a fetched blob and
 // then searches it in place: adjacency and float rows are read straight from
@@ -42,7 +32,6 @@
 #include "common/aligned_buffer.h"
 #include "common/status.h"
 #include "index/hnsw.h"
-#include "index/pq.h"
 
 namespace dhnsw {
 
@@ -51,12 +40,10 @@ struct ClusterHeader {
   static constexpr uint32_t kMagic = 0x44484E57;  // "DHNW"
   static constexpr uint16_t kVersion = 1;
   static constexpr size_t kEncodedSize = 48;
-  /// flags bits 0..2 carry the Metric; bit 3 marks extension sections.
-  static constexpr uint16_t kFlagHasExtensions = 0x8;
 
   uint32_t magic = kMagic;
   uint16_t version = kVersion;
-  uint16_t flags = 0;
+  uint16_t flags = 0;        ///< bits 0..2 carry the Metric; the rest must be clear
   uint32_t partition_id = 0;
   uint32_t dim = 0;
   uint32_t count = 0;
@@ -65,7 +52,7 @@ struct ClusterHeader {
   uint32_t max_level = 0;
   uint64_t payload_size = 0;
   uint32_t payload_crc = 0;
-  uint32_t ext_size = 0;     ///< bytes of extension sections after the header
+  uint32_t reserved = 0;     ///< must be zero
 };
 
 /// A sub-HNSW cluster ready for serialization / freshly decoded: the graph
@@ -79,39 +66,11 @@ struct Cluster {
       : partition_id(pid), index(std::move(idx)), global_ids(std::move(gids)) {}
 };
 
-/// Optional PQ material to ride along with a cluster blob as extension
-/// sections. Both members are independent: sub-cluster blobs carry codes,
-/// the meta blob carries the shared codebook.
-struct ClusterPqExtensions {
-  const ProductQuantizer* codebook = nullptr;  ///< kind-2 section when set
-  std::span<const uint8_t> codes;              ///< count x code_m, kind-1 section
-  uint32_t code_m = 0;                         ///< PQ subquantizers (codes row width)
-};
-
 /// Serializes `cluster` into a fresh byte vector.
 std::vector<uint8_t> EncodeCluster(const Cluster& cluster);
 
-/// Extension-aware encode. When `ext` has codes, `pq_head_size` (if non-null)
-/// receives header + ext_size + vectors_offset — the prefix a `payload=pq`
-/// reader fetches; otherwise it receives 0.
-std::vector<uint8_t> EncodeCluster(const Cluster& cluster,
-                                   const ClusterPqExtensions& ext,
-                                   uint64_t* pq_head_size);
-
 /// Exact encoded size without materializing the bytes (layout planning).
 size_t EncodedClusterSize(const Cluster& cluster);
-
-/// Exact sizes of the blob EncodeCluster would emit for `cluster` with a
-/// codes section of `code_m` bytes/vector (0 = no PQ section), again without
-/// materializing anything. Lets the provisioner plan the full region layout
-/// first and then encode straight into each cluster's final offset — the
-/// streamed build path never holds more than a few blobs in flight.
-/// (Codebook sections are not covered; only the meta blob carries one.)
-struct ClusterSizePlan {
-  size_t total_size = 0;     ///< header + extensions + payload
-  uint64_t pq_head_size = 0; ///< prefix a `payload=pq` reader fetches; 0 if no codes
-};
-ClusterSizePlan PlanClusterSize(const Cluster& cluster, uint32_t code_m);
 
 /// What a reader already knows about a blob from CRC-checked metadata: the
 /// RegionHeader's metric and dim, and the table slot it fetched. The parser
@@ -131,9 +90,9 @@ class ClusterView {
  public:
   /// Validates `blob` in one pass and builds the view. Checks, all
   /// kCorruption on failure:
-  ///  - header: magic, version, no unknown flag bits, a known metric,
-  ///    2 <= M <= kMaxM, dim > 0, and agreement with `expect`;
-  ///  - extension framing and section CRCs, then the payload CRC;
+  ///  - header: magic, version, no unknown flag bits, a known metric, a zero
+  ///    reserved word, 2 <= M <= kMaxM, dim > 0, and agreement with `expect`;
+  ///  - the payload CRC;
   ///  - framing: ids, levels and rows fit in payload_size before anything is
   ///    allocated, and the adjacency ends exactly where the rows begin;
   ///  - graph: every level <= the header's max_level, which must equal the
@@ -151,14 +110,13 @@ class ClusterView {
   static constexpr uint32_t kMaxM = 1u << 16;
 
   /// Whether `blob`'s payload starts 4-byte aligned in memory, so its u32
-  /// fields and float rows can be read in place. A blob with no extension
-  /// sections in a 64-aligned buffer at an 8-aligned offset always is; a PQ
-  /// codes section whose count*m is not a multiple of 4 shifts it. True for blobs too short
-  /// to carry a header (Parse rejects those).
+  /// fields and float rows can be read in place. The header is 48 bytes, so
+  /// that is whether the blob itself starts 4-byte aligned: a fetch into a
+  /// 64-aligned buffer at a 4-aligned offset always does.
   static bool PayloadAligned(std::span<const uint8_t> blob) noexcept;
 
-  /// Copies `blob` into `*storage`, placed so that its payload is 4-byte
-  /// aligned, and returns the copy's span.
+  /// Copies `blob` into `*storage`, which is 64-byte aligned, and returns the
+  /// copy's span.
   static std::span<const uint8_t> CopyAligned(std::span<const uint8_t> blob,
                                               AlignedBuffer* storage);
 
@@ -219,18 +177,5 @@ Result<Cluster> DecodeCluster(std::span<const uint8_t> bytes,
 
 /// Reads just the header (no CRC check) — used to size follow-up reads.
 Result<ClusterHeader> PeekClusterHeader(std::span<const uint8_t> bytes);
-
-/// Extracts the PQ codebook extension section, if present (meta-HNSW blob).
-/// Returns nullopt for blobs without one; kCorruption for damaged sections.
-Result<std::optional<ProductQuantizer>> DecodeClusterCodebook(
-    std::span<const uint8_t> bytes);
-
-/// Decodes a PQ *prefix* read — header + extensions + the payload up to (and
-/// excluding) the float rows. `bytes` must cover at least pq_head_size;
-/// trailing bytes are ignored. The graph prefix is validated against the
-/// codes section's graph_crc (the full-payload CRC can't be checked without
-/// the vectors). Fails kCorruption (with the byte offset) on truncation,
-/// CRC mismatch, or a blob without a codes section.
-Result<PqCluster> DecodePqCluster(std::span<const uint8_t> bytes);
 
 }  // namespace dhnsw

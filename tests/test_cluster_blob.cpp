@@ -233,22 +233,13 @@ TEST(ClusterViewTest, SearchIsBitIdenticalToDecodedIndex) {
   }
 }
 
-// A PQ-provisioned region puts a (32 + count*m)-byte codes section in front
-// of the payload. With count*m odd the rows sit off 4-byte alignment: the
-// view refuses to read them in place, and a realigned copy searches exactly
+// A fetch into a 64-aligned buffer at a 4-aligned offset always lands the
+// payload 4-byte aligned. At an odd offset the view refuses to read it in
+// place, DecodeCluster still accepts it, and an aligned copy searches exactly
 // like the decoded index.
-TEST(ClusterViewTest, OddCodeBytesArePadAlignedNotReadMisaligned) {
+TEST(ClusterViewTest, MisalignedFetchIsCopiedNotReadMisaligned) {
   const Cluster original = MakeMetricCluster(101, 12, 6, Metric::kL2, 7);
-  const uint32_t code_m = 3;  // 101 * 3 = 303 code bytes
-  std::vector<uint8_t> codes(101 * code_m);
-  for (size_t i = 0; i < codes.size(); ++i) codes[i] = static_cast<uint8_t>(i * 31);
-  ClusterPqExtensions ext;
-  ext.codes = codes;
-  ext.code_m = code_m;
-  uint64_t head = 0;
-  const std::vector<uint8_t> blob = EncodeCluster(original, ext, &head);
-
-  const Fetched f = Fetch(blob);
+  const Fetched f = Fetch(EncodeCluster(original), 1);
   ASSERT_FALSE(ClusterView::PayloadAligned(f.blob));
   EXPECT_EQ(ClusterView::Parse(f.blob, {}).status().code(), StatusCode::kInvalidArgument);
 
@@ -260,15 +251,51 @@ TEST(ClusterViewTest, OddCodeBytesArePadAlignedNotReadMisaligned) {
   ASSERT_TRUE(ClusterView::PayloadAligned(copy));
   auto view = ClusterView::Parse(copy, {.metric = Metric::kL2, .dim = 12u});
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  ExpectViewSearchesLikeDecoded(view.value(), decoded.value(), "realigned copy");
+  ExpectViewSearchesLikeDecoded(view.value(), decoded.value(), "aligned copy");
+}
 
-  // The same bytes at an offset that happens to align the payload parse in
-  // place.
-  const Fetched shifted = Fetch(blob, 1);
-  ASSERT_TRUE(ClusterView::PayloadAligned(shifted.blob));
-  auto in_place = ClusterView::Parse(shifted.blob, {});
-  ASSERT_TRUE(in_place.ok()) << in_place.status().ToString();
-  ExpectViewSearchesLikeDecoded(in_place.value(), decoded.value(), "in place at offset 1");
+// A blob as a PQ deployment wrote it: flags bit 3 set, and the header's last
+// word giving the size of the framed extension sections between the header
+// and the payload. The section and the payload are CRC-valid and the payload
+// stays 4-byte aligned, so only the format's refusal stops it.
+TEST(ClusterViewTest, BlobWithExtensionSectionsIsCorruption) {
+  constexpr size_t kFlagsOffset = 6;
+  constexpr size_t kReservedOffset = 44;
+  const std::vector<uint8_t> plain =
+      EncodeCluster(MakeMetricCluster(60, 8, 6, Metric::kL2, 9));
+  auto put_u32 = [](std::vector<uint8_t>* out, uint32_t v) {
+    const auto* bytes = reinterpret_cast<const uint8_t*>(&v);
+    out->insert(out->end(), bytes, bytes + sizeof v);
+  };
+  // One section: kind u16, version u16, body_size u32, body, CRC-32C(body).
+  // The parent's reader checked only this framing, not the body.
+  const std::vector<uint8_t> body = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<uint8_t> section;
+  put_u32(&section, 1u | (1u << 16));  // kind 1 (PQ codes), version 1
+  put_u32(&section, static_cast<uint32_t>(body.size()));
+  section.insert(section.end(), body.begin(), body.end());
+  put_u32(&section, Crc32c(body));
+
+  auto mark = [&](std::vector<uint8_t> blob, bool flag, uint32_t ext_size) {
+    if (flag) blob[kFlagsOffset] |= 0x8;
+    std::memcpy(blob.data() + kReservedOffset, &ext_size, 4);
+    return blob;
+  };
+  std::vector<uint8_t> pq = mark(plain, true, static_cast<uint32_t>(section.size()));
+  pq.insert(pq.begin() + ClusterHeader::kEncodedSize, section.begin(), section.end());
+
+  const ClusterExpect expect{.metric = Metric::kL2, .dim = 8u, .partition_id = 4u};
+  for (const auto& [blob, what] :
+       {std::pair{pq, "flag + sections"},
+        std::pair{mark(plain, true, 0), "flag alone"},
+        std::pair{mark(plain, false, 20), "size word alone"}}) {
+    const Fetched f = Fetch(blob);
+    ASSERT_TRUE(ClusterView::PayloadAligned(f.blob)) << what;
+    EXPECT_EQ(ClusterView::Parse(f.blob, expect).status().code(), StatusCode::kCorruption)
+        << what;
+    EXPECT_EQ(DecodeCluster(f.blob, HnswOptions{}).status().code(), StatusCode::kCorruption)
+        << what;
+  }
 }
 
 TEST(ClusterViewTest, RejectsHeaderThatDisagreesWithExpectations) {
@@ -323,12 +350,8 @@ TEST(ClusterViewTest, EveryHeaderBitFlipIsRejectedOrHarmless) {
     const bool entry_flip = bit >= kEntryPointBits[0] && bit < kEntryPointBits[1];
     const Fetched f = Fetch(blob);
 
-    // As a compute node loads it: realigned if a flipped ext_size says so,
-    // then parsed in place and cross-checked.
-    AlignedBuffer realigned;
-    std::span<const uint8_t> bytes = f.blob;
-    if (!ClusterView::PayloadAligned(bytes)) bytes = ClusterView::CopyAligned(bytes, &realigned);
-    auto view = ClusterView::Parse(bytes, expect);
+    // As a compute node loads it: parsed in place and cross-checked.
+    auto view = ClusterView::Parse(f.blob, expect);
     if (!view.ok()) {
       EXPECT_EQ(view.status().code(), StatusCode::kCorruption) << what;
       ++rejected;

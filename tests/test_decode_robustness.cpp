@@ -4,6 +4,7 @@
 // every mutation either round-trips to a valid object or yields an error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
@@ -52,10 +53,7 @@ TEST_P(ClusterBlobFuzzTest, RandomByteFlipsNeverCrash) {
     }
     // The in-place view accepts exactly what DecodeCluster accepts, and
     // whatever it accepts is safe to search.
-    AlignedBuffer realigned;
-    std::span<const uint8_t> bytes = blob;
-    if (!ClusterView::PayloadAligned(bytes)) bytes = ClusterView::CopyAligned(bytes, &realigned);
-    auto view = ClusterView::Parse(bytes, {.metric = Metric::kL2});
+    auto view = ClusterView::Parse(blob, {.metric = Metric::kL2});
     EXPECT_EQ(view.ok(), decoded.ok());
     if (view.ok()) {
       std::vector<Scored> out;
@@ -130,10 +128,12 @@ TEST(ClusterMetaFuzzTest, RandomFieldsRoundTripThroughEncoder) {
     m.partner = static_cast<uint32_t>(rng.Next());
     m.record_size = static_cast<uint32_t>(rng.Next());
     m.node_slot = static_cast<uint32_t>(rng.Next());
-    m.radius = rng.NextFloat();
 
-    std::vector<uint8_t> bytes(ClusterMeta::kEncodedSize);
+    std::vector<uint8_t> bytes(ClusterMeta::kEncodedSize, 0xAB);
     EncodeClusterMeta(m, bytes);
+    // Bytes [56, 68) are reserved and always encode as zero.
+    EXPECT_TRUE(std::all_of(bytes.begin() + 56, bytes.begin() + ClusterMeta::kCrcOffset,
+                            [](uint8_t b) { return b == 0; }));
     auto meta = DecodeClusterMeta(bytes);
     ASSERT_TRUE(meta.ok());
     EXPECT_EQ(static_cast<uint32_t>(meta.value().direction),

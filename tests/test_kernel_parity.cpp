@@ -205,101 +205,6 @@ TEST(KernelParityTest, DistanceBatchMatchesActivePairKernel) {
   }
 }
 
-// --- ADC (PQ asymmetric distance) kernels ----------------------------------
-// Contract is stronger than for the float kernels: BIT-identical across every
-// tier (UlpDiff == 0), because the deterministic-trace tests compare whole
-// search outputs across native and DHNSW_FORCE_SCALAR=1 runs.
-
-std::vector<float> RandomLut(size_t m, Xoshiro256& rng) {
-  std::vector<float> lut(m * 256);
-  for (float& x : lut) x = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  return lut;
-}
-
-std::vector<uint8_t> RandomCodes(size_t count, Xoshiro256& rng) {
-  std::vector<uint8_t> codes(count);
-  for (uint8_t& c : codes) c = static_cast<uint8_t>(rng.NextBounded(256));
-  return codes;
-}
-
-constexpr size_t kAdcMs[] = {1, 2, 7, 8, 9, 15, 16, 17, 32, 48};
-
-TEST(KernelParityTest, AdcIsBitIdenticalAcrossTiers) {
-  const KernelTable& scalar = KernelsForTier(SimdTier::kScalar);
-  Xoshiro256 rng(0xadc0de01u);
-  for (size_t m : kAdcMs) {
-    for (int rep = 0; rep < 8; ++rep) {
-      const std::vector<float> lut = RandomLut(m, rng);
-      const std::vector<uint8_t> code = RandomCodes(m, rng);
-      const float ref = scalar.adc(lut.data(), code.data(), m);
-      for (SimdTier tier : AvailableTiers()) {
-        const float got = KernelsForTier(tier).adc(lut.data(), code.data(), m);
-        EXPECT_EQ(UlpDiff(ref, got), 0)
-            << SimdTierName(tier) << "/m=" << m << " ref=" << ref << " got=" << got;
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, AdcGatherIsBitIdenticalToAdcWithinAndAcrossTiers) {
-  Xoshiro256 rng(0xadc0de02u);
-  constexpr size_t kRows = 100;
-  const KernelTable& scalar = KernelsForTier(SimdTier::kScalar);
-  for (size_t m : kAdcMs) {
-    const std::vector<float> lut = RandomLut(m, rng);
-    const std::vector<uint8_t> codes = RandomCodes(kRows * m, rng);
-    std::vector<uint32_t> ids;
-    for (int i = 0; i < 40; ++i) {
-      ids.push_back(static_cast<uint32_t>(rng.NextBounded(kRows)));
-    }
-    std::vector<float> out(ids.size());
-    for (SimdTier tier : AvailableTiers()) {
-      const KernelTable& table = KernelsForTier(tier);
-      table.adc_gather(lut.data(), codes.data(), m, ids.data(), ids.size(), out.data());
-      for (size_t j = 0; j < ids.size(); ++j) {
-        const float ref = scalar.adc(lut.data(), codes.data() + ids[j] * m, m);
-        EXPECT_EQ(UlpDiff(ref, out[j]), 0) << SimdTierName(tier) << "/m=" << m << " j=" << j;
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, AdcRowsIsBitIdenticalToAdcWithinAndAcrossTiers) {
-  Xoshiro256 rng(0xadc0de03u);
-  constexpr size_t kRows = 64;
-  const KernelTable& scalar = KernelsForTier(SimdTier::kScalar);
-  for (size_t m : kAdcMs) {
-    const std::vector<float> lut = RandomLut(m, rng);
-    const std::vector<uint8_t> codes = RandomCodes(kRows * m, rng);
-    std::vector<float> out(kRows);
-    for (SimdTier tier : AvailableTiers()) {
-      const KernelTable& table = KernelsForTier(tier);
-      table.adc_rows(lut.data(), codes.data(), m, kRows, out.data());
-      for (size_t j = 0; j < kRows; ++j) {
-        const float ref = scalar.adc(lut.data(), codes.data() + j * m, m);
-        EXPECT_EQ(UlpDiff(ref, out[j]), 0) << SimdTierName(tier) << "/m=" << m << " j=" << j;
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, AdcZeroLutAndDegenerateShapes) {
-  // An all-zero LUT must sum to exactly +0.0 in every tier (the zero-residual
-  // cluster case), and n = 0 batched calls must not touch `out`.
-  for (size_t m : kAdcMs) {
-    const std::vector<float> lut(m * 256, 0.0f);
-    const std::vector<uint8_t> code(m, 0xab);
-    float sentinel = 42.0f;
-    for (SimdTier tier : AvailableTiers()) {
-      const KernelTable& t = KernelsForTier(tier);
-      EXPECT_EQ(t.adc(lut.data(), code.data(), m), 0.0f) << SimdTierName(tier) << "/m=" << m;
-      t.adc_rows(lut.data(), code.data(), m, 0, &sentinel);
-      t.adc_gather(lut.data(), code.data(), m, nullptr, 0, &sentinel);
-      EXPECT_EQ(sentinel, 42.0f);
-    }
-  }
-}
-
 TEST(KernelParityTest, ActiveTierIsListedAsAvailable) {
   bool found = false;
   for (SimdTier tier : AvailableTiers()) {

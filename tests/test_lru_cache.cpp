@@ -52,51 +52,6 @@ TEST(LruCacheTest, ZeroCapacityStoresNothing) {
   EXPECT_FALSE(cache.Contains(1));
 }
 
-TEST(LruCacheTest, PinnedEntrySurvivesEviction) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  ASSERT_TRUE(cache.Pin(1));
-  cache.Get(2);       // 1 is now LRU but pinned
-  cache.Put(3, 30);   // must evict 2 instead
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_TRUE(cache.Unpin(1));
-}
-
-TEST(LruCacheTest, AllPinnedMayExceedCapacityTransiently) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Pin(1);
-  cache.Pin(2);
-  cache.Put(3, 30);
-  EXPECT_EQ(cache.size(), 3u);  // nothing evictable
-  cache.Unpin(1);
-  cache.Unpin(2);
-  cache.Put(4, 40);             // now eviction can restore capacity
-  EXPECT_LE(cache.size(), 2u + 1u);
-}
-
-TEST(LruCacheTest, PinsNest) {
-  LruCache<int, int> cache(1);
-  cache.Put(1, 10);
-  cache.Pin(1);
-  cache.Pin(1);
-  EXPECT_TRUE(cache.Unpin(1));
-  cache.Put(2, 20);  // still pinned once -> 1 survives
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_TRUE(cache.Unpin(1));
-  EXPECT_FALSE(cache.Unpin(1));  // not pinned anymore
-}
-
-TEST(LruCacheTest, PinUnknownKeyFails) {
-  LruCache<int, int> cache(1);
-  EXPECT_FALSE(cache.Pin(9));
-  EXPECT_FALSE(cache.Unpin(9));
-}
-
 TEST(LruCacheTest, EraseRemoves) {
   LruCache<int, int> cache(2);
   cache.Put(1, 10);
@@ -111,54 +66,6 @@ TEST(LruCacheTest, ClearEmpties) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_TRUE(cache.KeysByRecency().empty());
-}
-
-TEST(LruCacheTest, SetCapacityShrinksAndEvicts) {
-  LruCache<int, int> cache(4);
-  for (int i = 0; i < 4; ++i) cache.Put(i, i);
-  cache.Get(0);  // 0 MRU; LRU order now 1,2,3
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Contains(0));
-  EXPECT_TRUE(cache.Contains(3));
-}
-
-TEST(LruCacheTest, ShrinkWhilePinnedDefersEvictionToUnpin) {
-  LruCache<int, int> cache(4);
-  for (int i = 0; i < 4; ++i) cache.Put(i, i);  // LRU order: 0,1,2,3 (0 oldest)
-  ASSERT_TRUE(cache.Pin(1));
-  ASSERT_TRUE(cache.Pin(2));
-  cache.set_capacity(1);
-  // Contract: size may exceed the new capacity only by the pinned count.
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_LE(cache.size(), cache.capacity() + 2);
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  // Releasing a pin completes the deferred shrink: the now-unpinned LRU
-  // entry goes, without waiting for the next Put.
-  EXPECT_TRUE(cache.Unpin(2));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  // Size is back within capacity, so the last unpin evicts nothing.
-  EXPECT_TRUE(cache.Unpin(1));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.Contains(1));
-}
-
-TEST(LruCacheTest, EvictToCapacityTerminatesWhenAllPinned) {
-  LruCache<int, int> cache(8);
-  for (int i = 0; i < 8; ++i) {
-    cache.Put(i, i);
-    ASSERT_TRUE(cache.Pin(i));
-  }
-  // Nothing is evictable: the scan must finish after one pass over the
-  // recency list instead of spinning, leaving every pinned entry resident.
-  cache.set_capacity(0);
-  EXPECT_EQ(cache.size(), 8u);
-  // Each unpin drains one more entry toward the (zero) capacity.
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(cache.Unpin(i));
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(LruCacheTest, StatsCountHitsAndMisses) {
@@ -194,93 +101,6 @@ TEST(LruCacheTest, RecencyOrderIsMruFirst) {
   ASSERT_EQ(keys.size(), 3u);
   EXPECT_EQ(keys.front(), 1);
   EXPECT_EQ(keys.back(), 2);
-}
-
-// --- Weighted (byte-budget) mode -------------------------------------------
-
-TEST(LruCacheWeightTest, WeightedPutsEvictByTotalWeightNotCount) {
-  LruCache<int, int> cache(100);
-  cache.Put(1, 10, 40);
-  cache.Put(2, 20, 40);
-  EXPECT_EQ(cache.total_weight(), 80u);
-  cache.Put(3, 30, 40);  // 120 > 100: evicts LRU (1)
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_EQ(cache.total_weight(), 80u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(LruCacheWeightTest, EntryHeavierThanBudgetIsNotStored) {
-  LruCache<int, int> cache(100);
-  cache.Put(1, 10, 60);
-  EXPECT_EQ(cache.Put(2, 20, 101), nullptr);
-  // The oversize put must not have evicted anything either.
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_EQ(cache.total_weight(), 60u);
-}
-
-TEST(LruCacheWeightTest, OneHeavyEntryEvictsManyLightOnes) {
-  LruCache<int, int> cache(100);
-  for (int i = 0; i < 10; ++i) cache.Put(i, i, 10);
-  EXPECT_EQ(cache.size(), 10u);
-  cache.Put(99, 99, 95);  // displaces 10 light entries, keeps itself
-  EXPECT_TRUE(cache.Contains(99));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.total_weight(), 95u);
-}
-
-TEST(LruCacheWeightTest, HeavierReplacementEvictsOthersNotItself) {
-  LruCache<int, int> cache(100);
-  cache.Put(1, 10, 50);
-  cache.Put(2, 20, 40);
-  cache.Put(1, 11, 60);  // replacement grows 1 to 60: total 100, still fits
-  EXPECT_EQ(cache.total_weight(), 100u);
-  cache.Put(1, 12, 70);  // total would be 110: evicts 2, never evicts 1 itself
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_EQ(*cache.Peek(1), 12);
-  EXPECT_EQ(cache.total_weight(), 70u);
-}
-
-TEST(LruCacheWeightTest, ShrinkDefersEvictionWhilePinnedThenCompletesOnUnpin) {
-  LruCache<int, int> cache(100);
-  cache.Put(1, 10, 50);
-  cache.Put(2, 20, 50);
-  ASSERT_TRUE(cache.Pin(1));
-  ASSERT_TRUE(cache.Pin(2));
-  cache.set_capacity(40);  // both pinned: nothing evictable yet
-  EXPECT_EQ(cache.total_weight(), 100u);
-  EXPECT_TRUE(cache.Unpin(1));  // 1 becomes evictable; 100 > 40 resumes shrink
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));  // still pinned, survives over budget
-  EXPECT_EQ(cache.total_weight(), 50u);
-  EXPECT_TRUE(cache.Unpin(2));
-  EXPECT_FALSE(cache.Contains(2));  // 50 > 40: deferred shrink finishes
-  EXPECT_EQ(cache.total_weight(), 0u);
-}
-
-TEST(LruCacheWeightTest, EraseAndClearRestoreWeightAccounting) {
-  LruCache<int, int> cache(100);
-  cache.Put(1, 10, 30);
-  cache.Put(2, 20, 30);
-  EXPECT_TRUE(cache.Erase(1));
-  EXPECT_EQ(cache.total_weight(), 30u);
-  cache.Clear();
-  EXPECT_EQ(cache.total_weight(), 0u);
-  // Freed budget is reusable.
-  cache.Put(3, 30, 100);
-  EXPECT_TRUE(cache.Contains(3));
-}
-
-TEST(LruCacheWeightTest, DefaultWeightKeepsEntryCountSemantics) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(3, 30);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.total_weight(), cache.size());
 }
 
 /// Property sweep over capacities: after any sequence of puts, size never

@@ -139,8 +139,6 @@ DhnswConfig ParallelConfig() {
   config.meta.num_representatives = 16;
   config.sub_hnsw = HnswOptions{.M = 8, .ef_construction = 50};
   config.compute.clusters_per_query = 4;
-  config.pq.enabled = true;
-  config.pq.m = 4;
   config.transport.kind = rdma::TransportKind::kSim;
   return config;
 }
@@ -215,7 +213,6 @@ TEST(ParallelBuildTest, FastModeEngineRecallParity) {
 
   auto recall_with = [&](bool deterministic) {
     DhnswConfig config = ParallelConfig();
-    config.pq.enabled = false;
     config.meta.num_representatives = 4;
     config.compute.clusters_per_query = 3;
     config.sub_hnsw = HnswOptions{.M = 16, .ef_construction = 150};
@@ -241,14 +238,6 @@ TEST(ParallelBuildTest, ProvisionParallelEncodeBytesMatchSequential) {
   mopts.num_representatives = 12;
   auto meta = MetaHnsw::Build(ds.base, mopts);
   ASSERT_TRUE(meta.ok());
-  // PQ codebook so the parallel encode also covers the codes sections.
-  {
-    std::vector<float> samples(ds.base.flat().begin(),
-                               ds.base.flat().begin() + 512 * 16);
-    auto q = ProductQuantizer::Train(16, 4, samples, 4, 42);
-    ASSERT_TRUE(q.ok());
-    meta.value().set_quantizer(std::move(q).value());
-  }
   PartitionerOptions popts;
   popts.sub_hnsw = HnswOptions{.M = 6, .ef_construction = 30};
   auto parts = PartitionDataset(ds.base, meta.value(), popts);
