@@ -13,9 +13,11 @@
 //
 //   B. Open-loop latency: the same workload is released at its Poisson
 //      arrival times for three target-QPS levels derived from the measured
-//      N=1 capacity (0.5x, 1.0x, 2.0x), reporting sojourn p50/p99/p999 and
-//      admission drops. Above capacity the pool must shed load (drops), not
-//      queue unboundedly — latency stays finite because queues are bounded.
+//      N=1 capacity (0.5x, 1.0x, 2.0x) under cache-affinity dispatch
+//      (kLeastLoaded), reporting sojourn p50/p99/p999, admission drops and
+//      the pool's cache hit share. Above capacity the pool must shed load
+//      (drops), not queue unboundedly — latency stays finite because queues
+//      are bounded.
 //
 // `--json=PATH` archives both grids (default BENCH_scaleout.json, the CI
 // artifact). `--ops=K` sizes the schedules; `--read_fraction=F` adds inserts
@@ -212,10 +214,10 @@ int main(int argc, char** argv) {
   // Levels are fractions of the measured N=1 wall capacity so the grid
   // stresses the same relative operating points on any machine.
   const double levels[] = {0.5, 1.0, 2.0};
-  std::printf("\n%8s %10s %12s %12s %10s %10s %10s %10s\n", "nodes", "level",
-              "target", "achieved", "p50", "p99", "p999", "drops");
-  std::printf("%8s %10s %12s %12s %10s %10s %10s %10s\n", "", "(xN1)",
-              "(ops/s)", "(ops/s)", "(us)", "(us)", "(us)", "");
+  std::printf("\n%8s %10s %12s %12s %10s %10s %10s %10s %10s\n", "nodes", "level",
+              "target", "achieved", "p50", "p99", "p999", "drops", "cache");
+  std::printf("%8s %10s %12s %12s %10s %10s %10s %10s %10s\n", "", "(xN1)",
+              "(ops/s)", "(ops/s)", "(us)", "(us)", "(us)", "", "hits");
   for (size_t n : kNodeCounts) {
     for (double level : levels) {
       const double target = base_qps * level;
@@ -227,10 +229,10 @@ int main(int argc, char** argv) {
                                dhnsw::DispatchPolicy::kLeastLoaded, 4);
       dhnsw::PoolRunStats stats =
           f.pool->Run(schedule, dhnsw::PoolRunMode::kPaced);
-      std::printf("%8zu %9.1fx %12.0f %12.0f %10.1f %10.1f %10.1f %10llu\n", n,
+      std::printf("%8zu %9.1fx %12.0f %12.0f %10.1f %10.1f %10.1f %10llu %10.3f\n", n,
                   level, target, stats.achieved_qps, stats.latency_us.p50(),
                   stats.latency_us.p99(), stats.latency_us.percentile(99.9),
-                  (unsigned long long)stats.dropped());
+                  (unsigned long long)stats.dropped(), stats.cache_hit_share());
       LabelNic(json.Row("scaleout_paced"), engine)
           .Label("nodes", std::to_string(n))
           .Label("level", std::to_string(level))
@@ -243,7 +245,8 @@ int main(int argc, char** argv) {
           .Field("dropped", static_cast<double>(stats.dropped()))
           .Field("drop_rate",
                  static_cast<double>(stats.dropped()) /
-                     static_cast<double>(stats.submitted));
+                     static_cast<double>(stats.submitted))
+          .Field("cache_hit_share", stats.cache_hit_share());
     }
   }
 

@@ -643,7 +643,8 @@ void ComputeNode::AbandonPrefetch(WaveLoadState* wave_load) {
 }
 
 Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t begin,
-                                             size_t count, size_t k, uint32_t ef_search) {
+                                             size_t count, size_t k, uint32_t ef_search,
+                                             std::span<const std::vector<uint32_t>> routes) {
   if (!connected()) return Status::Unavailable("ComputeNode: not connected");
   // No sum here: begin + count wraps for a huge count.
   if (begin > queries.size() || count > queries.size() - begin) {
@@ -651,6 +652,18 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
   }
   if (queries.dim() != header_.dim) {
     return Status::InvalidArgument("SearchBatch: query dim mismatch");
+  }
+  if (!routes.empty()) {
+    if (routes.size() != count) {
+      return Status::InvalidArgument("SearchBatch: one route list per query");
+    }
+    for (const std::vector<uint32_t>& route : routes) {
+      for (uint32_t cluster : route) {
+        if (cluster >= header_.num_clusters) {
+          return Status::InvalidArgument("SearchBatch: routed cluster out of range");
+        }
+      }
+    }
   }
 
   BatchState batch{
@@ -668,7 +681,11 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
   const rdma::QpStats stats_before = qp_.stats();
 
   DHNSW_RETURN_IF_ERROR(RefreshStage(&batch.result.breakdown));
-  RouteStage(&batch);
+  if (routes.empty()) {
+    RouteStage(&batch);
+  } else {
+    batch.routes.assign(routes.begin(), routes.end());
+  }
   if (options_.mode == EngineMode::kNaive) {
     DHNSW_RETURN_IF_ERROR(NaiveStage(&batch));
   } else {
@@ -698,6 +715,10 @@ void ComputeNode::ForChunks(size_t n, size_t grain,
   }
 }
 
+std::vector<uint32_t> ComputeNode::Route(std::span<const float> query) const {
+  return meta_->RouteMany(query, std::max<uint32_t>(options_.clusters_per_query, 1));
+}
+
 void ComputeNode::RouteStage(BatchState* batch) {
   // --- meta-HNSW routing (the "cache computation" column of Tables 1-2) ---
   // Each query descends the cached meta-HNSW on its own (RouteMany is const
@@ -707,15 +728,14 @@ void ComputeNode::RouteStage(BatchState* batch) {
   WallTimer meta_timer;
   telemetry::TraceScope meta_scope(trace_ctx_, "stage.meta");
   const size_t count = batch->count;
-  const uint32_t b = std::max<uint32_t>(options_.clusters_per_query, 1);
-  meta_scope.set_args(count, b);
+  meta_scope.set_args(count, std::max<uint32_t>(options_.clusters_per_query, 1));
   batch->routes.resize(count);
   const bool traced = trace_ctx_.enabled();
   std::vector<uint64_t> walls(traced ? count : 0);
   ForChunks(count, kRouteGrain, [&](size_t first, size_t last) {
     for (size_t i = first; i < last; ++i) {
       const WallTimer timer;
-      batch->routes[i] = meta_->RouteMany(batch->queries[batch->begin + i], b);
+      batch->routes[i] = Route(batch->queries[batch->begin + i]);
       if (traced) walls[i] = timer.elapsed_ns();
     }
   });

@@ -17,6 +17,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/lru_cache.h"
@@ -165,8 +166,18 @@ class ComputeNode {
 
   /// Searches queries [begin, begin+count) of `queries` for their top-k with
   /// the given sub-HNSW ef. One call == one batch (paper batch size 2000).
+  /// `routes`, when not empty, holds each query's clusters as Route() gives
+  /// them (one entry per query, best first); the batch then skips its route
+  /// stage, so a caller that routed already does not route twice.
   Result<BatchResult> SearchBatch(const VectorSet& queries, size_t begin, size_t count,
-                                  size_t k, uint32_t ef_search);
+                                  size_t k, uint32_t ef_search,
+                                  std::span<const std::vector<uint32_t>> routes = {});
+
+  /// The b clusters `query` routes to through the cached meta-HNSW, best
+  /// first: what SearchBatch's route stage computes for it. Requires
+  /// connected(). Const, so another thread may route while this node
+  /// searches.
+  std::vector<uint32_t> Route(std::span<const float> query) const;
 
   /// Whole-set convenience.
   Result<BatchResult> SearchAll(const VectorSet& queries, size_t k, uint32_t ef_search) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <tuple>
 
 #include "common/timer.h"
 #include "telemetry/metrics.h"
@@ -16,6 +17,48 @@ namespace {
 constexpr uint32_t kMaxTenantInstruments = 16;
 
 }  // namespace
+
+uint32_t PickLeastLoaded(std::span<const size_t> outstanding,
+                         std::span<const std::vector<uint32_t>> recent,
+                         std::span<const uint64_t> assigned,
+                         std::span<const uint32_t> routes) {
+  // Lexicographic: fewest outstanding, most routes held, fewest assigned;
+  // the strict comparison keeps the lowest index on a full tie.
+  const auto key = [&](uint32_t lane) {
+    const auto held = std::count_if(routes.begin(), routes.end(), [&](uint32_t c) {
+      return std::find(recent[lane].begin(), recent[lane].end(), c) != recent[lane].end();
+    });
+    return std::tuple(outstanding[lane], -held, assigned[lane]);
+  };
+  uint32_t best = 0;
+  for (uint32_t i = 1; i < outstanding.size(); ++i) {
+    if (key(i) < key(best)) best = i;
+  }
+  return best;
+}
+
+void TouchRecent(std::vector<uint32_t>* recent, std::span<const uint32_t> routes,
+                 size_t capacity) {
+  for (uint32_t cluster : routes) {
+    const auto it = std::find(recent->begin(), recent->end(), cluster);
+    if (it != recent->end()) recent->erase(it);
+    recent->push_back(cluster);
+  }
+  if (recent->size() > capacity) {
+    recent->erase(recent->begin(),
+                  recent->end() - static_cast<std::ptrdiff_t>(capacity));
+  }
+}
+
+double PoolRunStats::cache_hit_share(size_t node) const noexcept {
+  uint64_t hits = 0, lookups = 0;
+  for (size_t i = 0; i < per_node_cache_hits.size(); ++i) {
+    if (node != SIZE_MAX && i != node) continue;
+    hits += per_node_cache_hits[i];
+    lookups += per_node_cache_lookups[i];
+  }
+  return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
+}
 
 ComputePool::ComputePool(std::vector<ComputeNode*> nodes, ComputePoolOptions options)
     : options_(options) {
@@ -40,6 +83,7 @@ ComputePool::ComputePool(std::vector<ComputeNode*> nodes, ComputePoolOptions opt
   }
 
   assigned_.assign(nodes.size(), 0);
+  recent_.resize(nodes.size());
   tenant_inflight_ = std::make_unique<std::atomic<int64_t>[]>(options_.num_tenants);
   for (uint32_t t = 0; t < options_.num_tenants; ++t) tenant_inflight_[t].store(0);
 
@@ -84,21 +128,16 @@ void ComputePool::ClearTraces() {
   for (auto& lane : lanes_) lane->trace.Clear();
 }
 
-uint32_t ComputePool::PickNode(uint32_t /*tenant*/) {
+uint32_t ComputePool::PickNode(std::span<const uint32_t> routes) {
   switch (options_.dispatch) {
     case DispatchPolicy::kRoundRobin:
       return round_robin_next_++ % static_cast<uint32_t>(lanes_.size());
     case DispatchPolicy::kLeastLoaded: {
-      uint32_t best = 0;
-      size_t best_depth = lanes_[0]->depth.load(std::memory_order_relaxed);
-      for (uint32_t i = 1; i < lanes_.size(); ++i) {
-        const size_t d = lanes_[i]->depth.load(std::memory_order_relaxed);
-        if (d < best_depth) {
-          best = i;
-          best_depth = d;
-        }
+      std::vector<size_t> outstanding(lanes_.size());
+      for (size_t i = 0; i < lanes_.size(); ++i) {
+        outstanding[i] = lanes_[i]->outstanding.load(std::memory_order_relaxed);
       }
-      return best;
+      return PickLeastLoaded(outstanding, recent_, assigned_, routes);
     }
     case DispatchPolicy::kLeastAssigned:
       break;
@@ -126,10 +165,16 @@ void ComputePool::ExecuteOp(Lane* lane, const QueuedOp& item) {
     if (op.kind == WorkloadOp::Kind::kSearch) {
       VectorSet one(lane->node->dim());
       one.Append(op.vector);
-      auto run = lane->node->SearchBatch(one, 0, 1, options_.k, options_.ef_search);
+      const std::span<const std::vector<uint32_t>> routes(&item.routes,
+                                                          item.routes.empty() ? 0 : 1);
+      auto run =
+          lane->node->SearchBatch(one, 0, 1, options_.k, options_.ef_search, routes);
       if (!run.ok()) {
         status = run.status();
       } else {
+        const BatchBreakdown& breakdown = run.value().breakdown;
+        lane->cache_hits += breakdown.cache_hits;
+        lane->cache_lookups += breakdown.cache_hits + breakdown.clusters_loaded;
         status = run.value().statuses.empty() ? Status::Ok() : run.value().statuses[0];
         results = std::move(run.value().results[0]);
       }
@@ -189,6 +234,7 @@ void ComputePool::WorkerLoop(Lane* lane) {
     lane->cv_room.notify_one();
 
     ExecuteOp(lane, item);
+    lane->outstanding.fetch_sub(1, std::memory_order_relaxed);
 
     {
       std::lock_guard<std::mutex> lock(done_mutex_);
@@ -205,6 +251,8 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
   stats.per_tenant_latency_us.resize(options_.num_tenants);
   stats.per_tenant_drops.assign(options_.num_tenants, 0);
   stats.per_node_ops.assign(lanes_.size(), 0);
+  stats.per_node_cache_hits.assign(lanes_.size(), 0);
+  stats.per_node_cache_lookups.assign(lanes_.size(), 0);
 
   {
     std::lock_guard<std::mutex> lock(done_mutex_);
@@ -220,6 +268,7 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
     Lane* lane = lanes_[i].get();
     lane->index = i;
     lane->ops = lane->ok = lane->failed = lane->searches = lane->inserts = 0;
+    lane->cache_hits = lane->cache_lookups = 0;
     lane->latency_us.Reset();
     lane->tenant_latency_us.assign(options_.num_tenants, LatencyRecorder{});
   }
@@ -231,6 +280,17 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
   const bool paced = mode == PoolRunMode::kPaced;
   const size_t capacity = options_.admission.node_queue_capacity;
   const size_t tenant_limit = options_.admission.tenant_inflight_limit;
+  // kLeastLoaded routes each search once, here, on node 0's meta-HNSW, and
+  // the lane searches with those routes. That needs every node to route
+  // alike; a pool that mixes b or ef_meta places without routes.
+  const ComputeOptions& first = lanes_[0]->node->options();
+  const bool route_at_dispatch =
+      options_.dispatch == DispatchPolicy::kLeastLoaded && lanes_[0]->node->connected() &&
+      std::all_of(lanes_.begin(), lanes_.end(), [&first](const auto& lane) {
+        const ComputeOptions& o = lane->node->options();
+        return o.clusters_per_query == first.clusters_per_query &&
+               o.ef_meta == first.ef_meta;
+      });
 
   WallTimer wall;
   const auto start_tp = std::chrono::steady_clock::now();
@@ -271,7 +331,15 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
       continue;
     }
 
-    const uint32_t node = PickNode(op.tenant);
+    // Stamped before routing, so an op's sojourn includes its routing.
+    auto admitted_at = std::chrono::steady_clock::now();
+    std::vector<uint32_t> routes;
+    if (route_at_dispatch && op.kind == WorkloadOp::Kind::kSearch) {
+      telemetry::TraceScope route_span(dispatch_ctx, "pool.route", static_cast<uint32_t>(i));
+      routes = lanes_[0]->node->Route(op.vector);
+      route_span.set_args(routes.size(), routes.empty() ? 0 : routes.front());
+    }
+    const uint32_t node = PickNode(routes);
     Lane* lane = lanes_[node].get();
     {
       std::unique_lock<std::mutex> lock(lane->mutex);
@@ -283,12 +351,16 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
           dropped_queue_full_total_->Add(1);
           continue;
         }
-      } else {
+      } else if (lane->queue.size() >= capacity) {
+        // Backpressure: the op is admitted once its lane has room.
         lane->cv_room.wait(lock, [lane, capacity] {
           return lane->stop || lane->queue.size() < capacity;
         });
+        admitted_at = std::chrono::steady_clock::now();
       }
-      lane->queue.push_back(QueuedOp{&op, i, std::chrono::steady_clock::now()});
+      TouchRecent(&recent_[node], routes, lane->node->options().cache_capacity);
+      lane->outstanding.fetch_add(1, std::memory_order_relaxed);
+      lane->queue.push_back(QueuedOp{&op, i, admitted_at, std::move(routes)});
       lane->depth.store(lane->queue.size(), std::memory_order_relaxed);
       lane->depth_gauge->Set(static_cast<int64_t>(lane->queue.size()));
     }
@@ -316,6 +388,8 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
     stats.searches += lane->searches;
     stats.inserts += lane->inserts;
     stats.per_node_ops[i] = lane->ops;
+    stats.per_node_cache_hits[i] = lane->cache_hits;
+    stats.per_node_cache_lookups[i] = lane->cache_lookups;
     stats.latency_us.Merge(lane->latency_us);
     for (uint32_t t = 0; t < options_.num_tenants; ++t) {
       stats.per_tenant_latency_us[t].Merge(lane->tenant_latency_us[t]);
@@ -347,7 +421,7 @@ Result<RouterResult> ComputePool::SearchSharded(const VectorSet& queries, size_t
   outstanding.reserve(lanes_.size());
   for (auto& lane : lanes_) {
     nodes.push_back(lane->node);
-    outstanding.push_back(lane->depth.load(std::memory_order_relaxed));
+    outstanding.push_back(lane->outstanding.load(std::memory_order_relaxed));
   }
   ClientRouter router(std::move(nodes), RouterExecution::kConcurrent);
   return router.SearchBatchWeighted(queries, k, ef_search, outstanding, router_options);

@@ -57,8 +57,12 @@ enum class DispatchPolicy : uint8_t {
   /// cumulative sense and a pure function of the op sequence — the only
   /// policy that keeps kDrain runs deterministic.
   kLeastAssigned = 0,
-  /// Fewest ops queued right now (live depth). Adapts to slow nodes under
-  /// paced load, but depends on wall-clock service times.
+  /// Cache-affinity placement on live load. The dispatcher routes each
+  /// search once and, among the lanes with the fewest outstanding ops
+  /// (queued plus in service), picks the one that was most recently sent
+  /// the most of its clusters (PickLeastLoaded); the lane searches with
+  /// those routes. Adapts to slow nodes under paced load, but depends on
+  /// wall-clock service times.
   kLeastLoaded = 1,
   kRoundRobin = 2,
 };
@@ -85,6 +89,23 @@ struct ComputePoolOptions {
 };
 
 enum class PoolRunMode : uint8_t { kDrain = 0, kPaced = 1 };
+
+/// kLeastLoaded's placement rule, a pure function of the dispatcher's view
+/// (all spans have one entry per lane): among the lanes with the fewest
+/// `outstanding` ops, the one whose `recent` list holds the most of the
+/// op's `routes`; ties go to the fewest ops `assigned` this run, then to the
+/// lowest index. With no routes (inserts) it is least outstanding, then
+/// least assigned.
+uint32_t PickLeastLoaded(std::span<const size_t> outstanding,
+                         std::span<const std::vector<uint32_t>> recent,
+                         std::span<const uint64_t> assigned,
+                         std::span<const uint32_t> routes);
+
+/// Records that `routes` were sent to a lane: in route order, each moves to
+/// the most-recent end (the back) of the lane's `recent` list, and the least
+/// recent fall off the front beyond `capacity`, the lane node's cache size.
+void TouchRecent(std::vector<uint32_t>* recent, std::span<const uint32_t> routes,
+                 size_t capacity);
 
 /// Terminal fate of one scheduled op. Every op gets exactly one.
 struct OpOutcome {
@@ -114,10 +135,17 @@ struct PoolRunStats {
   std::vector<LatencyRecorder> per_tenant_latency_us;  ///< size num_tenants
   std::vector<uint64_t> per_tenant_drops;              ///< size num_tenants
   std::vector<uint64_t> per_node_ops;                  ///< size pool
+  /// Per node, over its searches: routed clusters found in its cache, and
+  /// routed clusters looked up (hits plus loads). Size pool.
+  std::vector<uint64_t> per_node_cache_hits;
+  std::vector<uint64_t> per_node_cache_lookups;
 
   uint64_t dropped() const noexcept {
     return dropped_queue_full + dropped_tenant_limit + dropped_invalid;
   }
+  /// Share of routed clusters served from cache on `node`, or pool-wide
+  /// when `node` is SIZE_MAX; 0 with no lookups.
+  double cache_hit_share(size_t node = SIZE_MAX) const noexcept;
 };
 
 class ComputePool {
@@ -142,8 +170,9 @@ class ComputePool {
 
   /// Front-end batch search: shards `queries` over the pool via
   /// ClientRouter::SearchBatchWeighted, weighting shards inversely to each
-  /// node's current queue depth so a backed-up node gets less synchronous
-  /// work. With idle queues this degenerates to the even split.
+  /// node's outstanding ops (queued plus in service) so a backed-up node
+  /// gets less synchronous work. With idle lanes this degenerates to the
+  /// even split.
   Result<RouterResult> SearchSharded(const VectorSet& queries, size_t k,
                                      uint32_t ef_search,
                                      const RouterOptions& router_options = {});
@@ -153,8 +182,9 @@ class ComputePool {
     return lanes_[i]->depth.load(std::memory_order_relaxed);
   }
 
-  /// Pool-level spans: "pool.dispatch"/"pool.drop" events from the
-  /// dispatcher, "pool.op" spans from each lane's worker. Buffers are
+  /// Pool-level spans: "pool.dispatch"/"pool.drop" events and, under
+  /// kLeastLoaded, a "pool.route" span per routed search from the
+  /// dispatcher; "pool.op" spans from each lane's worker. Buffers are
   /// single-writer; exports are wall-free-deterministic in kDrain mode with
   /// kLeastAssigned (the byte-compare contract of the scale-out CI job).
   void EnableTracing(size_t capacity);
@@ -167,6 +197,7 @@ class ComputePool {
     const WorkloadOp* op = nullptr;
     size_t index = 0;
     std::chrono::steady_clock::time_point admitted;
+    std::vector<uint32_t> routes;  ///< routed at dispatch; empty = lane routes
   };
 
   /// One node's worker lane. Queue state is mutex-protected; the stats block
@@ -179,12 +210,14 @@ class ComputePool {
     std::condition_variable cv_nonempty;  ///< dispatcher -> worker
     std::condition_variable cv_room;      ///< worker -> blocked dispatcher
     std::deque<QueuedOp> queue;
-    std::atomic<size_t> depth{0};
+    std::atomic<size_t> depth{0};        ///< queue length
+    std::atomic<size_t> outstanding{0};  ///< queued plus in service
     bool stop = false;
     std::thread thread;
 
     // Worker-private per-run accumulators (merged by Run() at quiescence).
     uint64_t ops = 0, ok = 0, failed = 0, searches = 0, inserts = 0;
+    uint64_t cache_hits = 0, cache_lookups = 0;
     LatencyRecorder latency_us;
     std::vector<LatencyRecorder> tenant_latency_us;
     telemetry::TraceBuffer trace;
@@ -194,11 +227,16 @@ class ComputePool {
 
   void WorkerLoop(Lane* lane);
   void ExecuteOp(Lane* lane, const QueuedOp& item);
-  uint32_t PickNode(uint32_t tenant);
+  uint32_t PickNode(std::span<const uint32_t> routes);
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   ComputePoolOptions options_;
   std::vector<uint64_t> assigned_;  ///< dispatcher-only cumulative counts
+  /// kLeastLoaded, dispatcher-only: per lane, the clusters most recently
+  /// sent there, least recent first. They stand in for the lanes' caches,
+  /// which only their own workers touch, and persist across runs as the
+  /// caches do.
+  std::vector<std::vector<uint32_t>> recent_;
   uint32_t round_robin_next_ = 0;
   std::unique_ptr<std::atomic<int64_t>[]> tenant_inflight_;
 

@@ -264,6 +264,7 @@ TEST(CliScaleoutTest, DrainRunsEveryOpAndReportsPercentiles) {
             std::string::npos) << out;
   EXPECT_NE(out.find("sojourn p50"), std::string::npos) << out;
   EXPECT_NE(out.find("node0=40 node1=40 node2=40"), std::string::npos) << out;
+  EXPECT_NE(out.find("per-node cache hit share: node0=0."), std::string::npos) << out;
 }
 
 TEST(CliScaleoutTest, PacedOverloadShedsInsteadOfHanging) {
@@ -276,6 +277,7 @@ TEST(CliScaleoutTest, PacedOverloadShedsInsteadOfHanging) {
   EXPECT_NE(out.find("paced open-loop with admission control"),
             std::string::npos) << out;
   EXPECT_EQ(out.find("dropped 0 "), std::string::npos) << out;
+  EXPECT_NE(out.find("per-node cache hit share: node0="), std::string::npos) << out;
 
   out.clear();
   EXPECT_EQ(cli::RunCli({"scaleout", "--nodes=0"}, &out), 1);

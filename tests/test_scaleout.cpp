@@ -10,8 +10,10 @@
 // sizes {2,4,8}, search_threads {1,4}, and pipeline_depth {1,2}.
 //
 // Also here: the per-op differential for read-only traffic (searches are
-// pure functions of the query, so even per-op results must match), the
-// RetryBudget cross-inflation regression (concurrent nodes' sim clocks and
+// pure functions of the query, so even per-op results must match — also
+// under kLeastLoaded's cache-affinity placement and with routes computed at
+// dispatch), the dispatch rule as a pure function, the RetryBudget
+// cross-inflation regression (concurrent nodes' sim clocks and
 // backoff must equal their solo runs exactly), paced-mode admission-control
 // behaviour, load-aware weighted sharding, and the same-seed wall-free trace
 // byte-identity contract CI archives.
@@ -193,6 +195,191 @@ TEST(ScaleoutTest, SearchOnlyPerOpResultsMatchSequential) {
   }
   // Every node actually served traffic (least-assigned spreads 96 ops evenly).
   for (uint64_t per_node : stats.per_node_ops) EXPECT_EQ(per_node, 24u);
+}
+
+// Placement never changes answers: a paced kLeastLoaded run routes every
+// search at the dispatcher (walking node 0's meta-HNSW while the lanes
+// search) and places it by cache affinity, yet each op returns exactly what
+// the single-node sequential replay returned for it.
+TEST(ScaleoutTest, LeastLoadedPacedPerOpResultsMatchSequential) {
+  const Dataset ds = ScaleData();
+  const auto ops = ScaleOps(ds, /*read_fraction=*/1.0, /*num_ops=*/96);
+  const OracleRun oracle = SequentialOracle(ds, ops);
+
+  auto built = DhnswEngine::Build(ds.base, ScaleConfig(3));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  DhnswEngine& engine = built.value();
+  engine.EnableTracing(1 << 14);
+  ComputePoolOptions popt = ScalePoolOptions();
+  popt.dispatch = DispatchPolicy::kLeastLoaded;
+  popt.admission.node_queue_capacity = ops.size();  // nothing is shed
+  popt.trace_capacity = 1 << 12;
+  ComputePool pool(engine.compute_nodes(), popt);
+  std::vector<OpOutcome> outcomes;
+  const PoolRunStats stats = pool.Run(ops, PoolRunMode::kPaced, &outcomes);
+
+  ASSERT_EQ(stats.dropped(), 0u);
+  ASSERT_EQ(outcomes.size(), ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].status.ok()) << "op " << i << ": " << outcomes[i].status.ToString();
+    ASSERT_EQ(outcomes[i].results.size(), oracle.per_op[i].size()) << "op " << i;
+    for (size_t j = 0; j < oracle.per_op[i].size(); ++j) {
+      EXPECT_EQ(outcomes[i].results[j].id, oracle.per_op[i][j].id) << "op " << i;
+      EXPECT_EQ(outcomes[i].results[j].distance, oracle.per_op[i][j].distance)
+          << "op " << i;
+    }
+  }
+  // Every search was routed once, at the dispatcher (no lane ran its own
+  // route stage), and its lookups are accounted to the node that served it.
+  const auto count = [](const telemetry::TraceBuffer& trace, const char* name) {
+    size_t n = 0;
+    for (const telemetry::TraceEvent& ev : trace.events()) n += std::strcmp(ev.name, name) == 0;
+    return n;
+  };
+  EXPECT_EQ(count(pool.dispatch_trace(), "pool.route"), ops.size());
+  size_t batches = 0;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    batches += count(engine.trace(i), "batch");
+    EXPECT_EQ(count(engine.trace(i), "stage.meta"), 0u) << "node " << i;
+  }
+  EXPECT_EQ(batches, ops.size());
+  uint64_t lookups = 0;
+  for (uint64_t n : stats.per_node_cache_lookups) lookups += n;
+  EXPECT_EQ(lookups, ops.size() * ScaleConfig(3).compute.clusters_per_query);
+  EXPECT_GE(stats.cache_hit_share(), 0.0);
+  EXPECT_LE(stats.cache_hit_share(), 1.0);
+}
+
+// Nodes that route differently (b = 3 and b = 1 here) cannot share one route
+// list, so the dispatcher places without routing and each lane routes for
+// itself: every op returns what the node that served it returns on its own.
+TEST(ScaleoutTest, LeastLoadedMixedRoutingPoolLetsLanesRoute) {
+  const Dataset ds = ScaleData();
+  const auto ops = ScaleOps(ds, /*read_fraction=*/1.0, /*num_ops=*/48);
+  auto built = DhnswEngine::Build(ds.base, ScaleConfig(2));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  DhnswEngine& engine = built.value();
+  engine.compute(1).mutable_options()->clusters_per_query = 1;
+  ComputePoolOptions popt = ScalePoolOptions();
+  popt.dispatch = DispatchPolicy::kLeastLoaded;
+  popt.admission.node_queue_capacity = ops.size();
+  popt.trace_capacity = 1 << 10;
+  ComputePool pool(engine.compute_nodes(), popt);
+  std::vector<OpOutcome> outcomes;
+  const PoolRunStats stats = pool.Run(ops, PoolRunMode::kPaced, &outcomes);
+  ASSERT_EQ(stats.completed_ok, ops.size());
+
+  for (const telemetry::TraceEvent& ev : pool.dispatch_trace().events()) {
+    EXPECT_STRNE(ev.name, "pool.route");
+  }
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_LT(outcomes[i].node, 2u) << "op " << i;
+    std::vector<Scored> want;
+    ASSERT_TRUE(ReplayOp(engine.compute(outcomes[i].node), ops[i], &want).ok());
+    ASSERT_EQ(outcomes[i].results.size(), want.size()) << "op " << i;
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(outcomes[i].results[j].id, want[j].id) << "op " << i;
+    }
+  }
+}
+
+// A batch handed the routes its route stage would compute is the same batch:
+// same results, statuses, simulated time, fabric traffic and cache contents,
+// batch after batch (the cache carries over between them).
+TEST(ScaleoutTest, SearchBatchWithPrecomputedRoutesMatchesRoutedBatch) {
+  const Dataset ds = ScaleData();
+  DhnswConfig config = ScaleConfig(1);
+  config.transport = rdma::TransportOptions::Sim();  // sim-ns are compared
+  auto routed_engine = DhnswEngine::Build(ds.base, config);
+  auto given_engine = DhnswEngine::Build(ds.base, config);
+  ASSERT_TRUE(routed_engine.ok() && given_engine.ok());
+  ComputeNode& routed = routed_engine.value().compute(0);
+  ComputeNode& given = given_engine.value().compute(0);
+
+  constexpr size_t kBatch = 8;
+  for (size_t begin = 0; begin < ds.queries.size(); begin += kBatch) {
+    std::vector<std::vector<uint32_t>> routes;
+    for (size_t q = begin; q < begin + kBatch; ++q) routes.push_back(given.Route(ds.queries[q]));
+    auto want = routed.SearchBatch(ds.queries, begin, kBatch, kK, kEf);
+    auto got = given.SearchBatch(ds.queries, begin, kBatch, kK, kEf, routes);
+    ASSERT_TRUE(want.ok() && got.ok()) << "batch at " << begin;
+    EXPECT_TRUE(SameResults(want.value(), got.value())) << "batch at " << begin;
+    EXPECT_EQ(want.value().statuses, got.value().statuses) << "batch at " << begin;
+    EXPECT_EQ(routed.clock().now_ns(), given.clock().now_ns()) << "batch at " << begin;
+    const rdma::QpStats& a = routed.qp_stats();
+    const rdma::QpStats& b = given.qp_stats();
+    EXPECT_EQ(a.round_trips, b.round_trips);
+    EXPECT_EQ(a.work_requests, b.work_requests);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.bytes_read, b.bytes_read);
+    EXPECT_EQ(a.sim_network_ns, b.sim_network_ns);
+    ASSERT_EQ(routed.cache_size(), given.cache_size());
+    for (uint32_t c = 0; c < routed.num_clusters(); ++c) {
+      EXPECT_EQ(routed.IsCached(c), given.IsCached(c)) << "cluster " << c;
+    }
+  }
+
+  // Routes must cover the batch and name real clusters.
+  const std::vector<std::vector<uint32_t>> one = {given.Route(ds.queries[0])};
+  EXPECT_EQ(given.SearchBatch(ds.queries, 0, 2, kK, kEf, one).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<std::vector<uint32_t>> bogus = {{given.num_clusters()}};
+  EXPECT_EQ(given.SearchBatch(ds.queries, 0, 1, kK, kEf, bogus).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// kLeastLoaded's dispatch rule as a pure function: in-service ops count as
+// load, cache affinity decides among the idle, and ties are deterministic.
+TEST(ScaleoutTest, DispatchRuleIdleLaneBeatsBusyLaneWithEmptyQueue) {
+  // Lane 0 runs one op (its queue is empty) and holds every route; lane 1
+  // is idle and holds none. The idle lane wins.
+  const std::vector<size_t> outstanding = {1, 0};
+  const std::vector<std::vector<uint32_t>> recent = {{4, 5, 6}, {}};
+  const std::vector<uint64_t> assigned = {0, 9};
+  const std::vector<uint32_t> routes = {4, 5, 6};
+  EXPECT_EQ(PickLeastLoaded(outstanding, recent, assigned, routes), 1u);
+}
+
+TEST(ScaleoutTest, DispatchRuleIdleLaneHoldingMostRoutesWins) {
+  const std::vector<size_t> outstanding = {0, 0, 0, 2};
+  const std::vector<std::vector<uint32_t>> recent = {{1}, {7, 1, 2}, {2, 9}, {1, 2, 3}};
+  const std::vector<uint64_t> assigned = {0, 5, 0, 0};
+  const std::vector<uint32_t> routes = {1, 2, 3};
+  // Lane 1 holds two routes, more than any other idle lane; the busy lane 3
+  // holds all three but is not idle.
+  EXPECT_EQ(PickLeastLoaded(outstanding, recent, assigned, routes), 1u);
+}
+
+TEST(ScaleoutTest, DispatchRuleTiesGoToFewerAssignedThenLowerIndex) {
+  const std::vector<size_t> outstanding = {0, 0, 0};
+  const std::vector<std::vector<uint32_t>> recent = {{3}, {3}, {3}};
+  const std::vector<uint32_t> routes = {3, 8};
+  const std::vector<uint64_t> uneven = {4, 2, 3};
+  EXPECT_EQ(PickLeastLoaded(outstanding, recent, uneven, routes), 1u);
+  const std::vector<uint64_t> even = {2, 2, 2};
+  EXPECT_EQ(PickLeastLoaded(outstanding, recent, even, routes), 0u);
+  // No routes (an insert): fewest outstanding, then fewest assigned.
+  const std::vector<size_t> busy_first = {1, 0, 0};
+  EXPECT_EQ(PickLeastLoaded(busy_first, recent, uneven, {}), 1u);
+}
+
+TEST(ScaleoutTest, RecencyListIsCappedAndUpdatedInRouteOrder) {
+  constexpr size_t kCapacity = 4;
+  std::vector<uint32_t> recent;
+  TouchRecent(&recent, std::vector<uint32_t>{1, 2, 3}, kCapacity);
+  EXPECT_EQ(recent, (std::vector<uint32_t>{1, 2, 3}));
+  // A held route moves to the most-recent end; the list then overflows and
+  // drops its least recent entry.
+  TouchRecent(&recent, std::vector<uint32_t>{2, 4, 5}, kCapacity);
+  EXPECT_EQ(recent, (std::vector<uint32_t>{3, 2, 4, 5}));
+  TouchRecent(&recent, std::vector<uint32_t>{9, 8, 7, 6, 5}, kCapacity);
+  EXPECT_EQ(recent, (std::vector<uint32_t>{8, 7, 6, 5}));
+  for (uint32_t c = 0; c < 50; ++c) {
+    TouchRecent(&recent, std::vector<uint32_t>{c, c + 1, c + 2}, kCapacity);
+    EXPECT_LE(recent.size(), kCapacity);
+  }
+  TouchRecent(&recent, std::vector<uint32_t>{1, 2}, 0);
+  EXPECT_TRUE(recent.empty());
 }
 
 // Regression for the shared-SimClock hazard: each RetryBudget must charge

@@ -318,8 +318,8 @@ Status CmdScaleout(const Flags& flags, std::string* out) {
   // N ComputeNode instances over one memory pool, driven by the open-loop
   // workload generator. `--drain=1` runs the deterministic backpressure mode
   // (kLeastAssigned dispatch); the default is paced open-loop at `--qps`
-  // with load-aware dispatch and admission control, where drops under
-  // overload are the expected signal.
+  // with cache-affinity dispatch (kLeastLoaded) and admission control, where
+  // drops under overload are the expected signal.
   const uint32_t nodes = static_cast<uint32_t>(flags.GetU64("nodes", 4));
   const uint32_t clusters = static_cast<uint32_t>(flags.GetU64("clusters", 8));
   const uint32_t rows = static_cast<uint32_t>(flags.GetU64("rows", 3000));
@@ -385,6 +385,13 @@ Status CmdScaleout(const Flags& flags, std::string* out) {
                 std::to_string(stats.per_node_ops[i]);
   }
   Emit(out, "%s", per_node.c_str());
+  std::string hit_share = "per-node cache hit share:";
+  for (size_t i = 0; i < stats.per_node_ops.size(); ++i) {
+    char cell[32];
+    std::snprintf(cell, sizeof(cell), " node%zu=%.2f", i, stats.cache_hit_share(i));
+    hit_share += cell;
+  }
+  Emit(out, "%s", hit_share.c_str());
   for (uint32_t t = 0; t < wopt.num_tenants; ++t) {
     if (stats.per_tenant_drops[t] != 0) {
       Emit(out, "tenant %u: %llu drops", t,
