@@ -3,13 +3,13 @@
 //
 //   A. Capacity: a drain run through the live pool (worker threads,
 //      backpressure) gives wall throughput, and a sequential per-node replay
-//      of the same deterministic assignment gives MODELED capacity
-//      ops / max_n(busy_n) — the throughput an N-core deployment achieves,
-//      reported alongside wall because wall cannot scale past the host's
-//      core count (CI runs this on small machines). Scaling is sub-linear in
-//      the model too: each node has its own cold cache, so N nodes duplicate
-//      cluster loads the single node amortized. Recall parity is checked per
-//      N via the front-end sharded batch path.
+//      of the run's own assignment (median of 5 replays per node) gives
+//      MODELED capacity ops / max_n(busy_n) — the throughput an N-core
+//      deployment achieves, reported alongside wall because wall cannot
+//      scale past the host's core count (CI runs this on small machines).
+//      Scaling is sub-linear in the model too: each node has its own cold
+//      cache, so N nodes duplicate cluster loads the single node amortized.
+//      Recall parity is checked per N via the front-end sharded batch path.
 //
 //   B. Open-loop latency: the same workload is released at its Poisson
 //      arrival times for three target-QPS levels derived from the measured
@@ -23,6 +23,7 @@
 // artifact). `--ops=K` sizes the schedules; `--read_fraction=F` adds inserts
 // to the mix (default 1.0 keeps the engine immutable so every N sees the
 // same index and the modeled replay stays side-effect-free).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,43 +82,43 @@ dhnsw::WorkloadGenOptions BaseWorkload(const dhnsw::bench::BenchConfig& config,
   return w;
 }
 
-// Modeled capacity: assign ops exactly as DispatchPolicy::kLeastAssigned
-// does (argmin cumulative count, ties to the lowest index), then execute
-// each node's subsequence to completion on a fresh node, one node at a
-// time, through the same per-op path the pool workers use. The bottleneck
-// node's busy time bounds the run on an N-core host:
+// Modeled capacity: replay each node's share of the drain run — the ops the
+// run's OpOutcome::node says it executed — to completion on a fresh node, one
+// node at a time, through the same per-op path the pool workers use. Each
+// share is replayed kReplays times, each on a fresh node (cold cache, as in
+// the run), and its busy time is the median replay. The bottleneck node's
+// busy time bounds the run on an N-core host:
 //   modeled_qps = ops / max_n(busy_n).
 // Search-only workloads only — replaying inserts would mutate the shared
 // region twice.
 double ModeledCapacityQps(dhnsw::DhnswEngine& engine,
                           const dhnsw::bench::BenchConfig& config, size_t n,
-                          const std::vector<dhnsw::WorkloadOp>& ops) {
-  std::vector<uint64_t> assigned(n, 0);
+                          const std::vector<dhnsw::WorkloadOp>& ops,
+                          const std::vector<dhnsw::OpOutcome>& outcomes) {
+  constexpr int kReplays = 5;
   std::vector<std::vector<const dhnsw::WorkloadOp*>> per_node(n);
-  for (const dhnsw::WorkloadOp& op : ops) {
-    size_t pick = 0;
-    for (size_t i = 1; i < n; ++i) {
-      if (assigned[i] < assigned[pick]) pick = i;
-    }
-    ++assigned[pick];
-    per_node[pick].push_back(&op);
-  }
+  for (size_t i = 0; i < ops.size(); ++i) per_node[outcomes[i].node].push_back(&ops[i]);
 
   double max_busy_us = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    auto node = AttachComputeNode(engine, config, dhnsw::EngineMode::kFull);
-    dhnsw::WallTimer timer;
-    for (const dhnsw::WorkloadOp* op : per_node[i]) {
-      dhnsw::VectorSet one(node->dim());
-      one.Append(op->vector);
-      auto run = node->SearchBatch(one, 0, 1, config.gt_k, kEfSearch);
-      if (!run.ok()) {
-        std::fprintf(stderr, "modeled replay failed: %s\n",
-                     run.status().ToString().c_str());
-        std::exit(1);
+    std::vector<double> busy_us;
+    for (int rep = 0; rep < kReplays; ++rep) {
+      auto node = AttachComputeNode(engine, config, dhnsw::EngineMode::kFull);
+      dhnsw::WallTimer timer;
+      for (const dhnsw::WorkloadOp* op : per_node[i]) {
+        dhnsw::VectorSet one(node->dim());
+        one.Append(op->vector);
+        auto run = node->SearchBatch(one, 0, 1, config.gt_k, kEfSearch);
+        if (!run.ok()) {
+          std::fprintf(stderr, "modeled replay failed: %s\n",
+                       run.status().ToString().c_str());
+          std::exit(1);
+        }
       }
+      busy_us.push_back(timer.elapsed_us());
     }
-    max_busy_us = std::max(max_busy_us, timer.elapsed_us());
+    std::nth_element(busy_us.begin(), busy_us.begin() + kReplays / 2, busy_us.end());
+    max_busy_us = std::max(max_busy_us, busy_us[kReplays / 2]);
   }
   return static_cast<double>(ops.size()) / (max_busy_us / 1e6);
 }
@@ -170,8 +171,9 @@ int main(int argc, char** argv) {
             .Generate();
     PoolFixture f = MakePool(engine, config, n,
                              dhnsw::DispatchPolicy::kLeastAssigned, 4);
+    std::vector<dhnsw::OpOutcome> outcomes;
     dhnsw::PoolRunStats stats =
-        f.pool->Run(schedule, dhnsw::PoolRunMode::kDrain);
+        f.pool->Run(schedule, dhnsw::PoolRunMode::kDrain, &outcomes);
     if (stats.failed != 0 || stats.dropped() != 0) {
       std::fprintf(stderr, "drain N=%zu: %llu failures, %llu drops\n", n,
                    (unsigned long long)stats.failed,
@@ -180,7 +182,7 @@ int main(int argc, char** argv) {
     }
     const double modeled_qps =
         read_fraction == 1.0
-            ? ModeledCapacityQps(engine, config, n, schedule)
+            ? ModeledCapacityQps(engine, config, n, schedule, outcomes)
             : stats.achieved_qps;  // replay is search-only; fall back to wall
     auto sharded = f.pool->SearchSharded(ds.queries, config.gt_k, kEfSearch);
     if (!sharded.ok()) {

@@ -295,19 +295,10 @@ void ComputeNode::LoadedCluster::Search(std::span<const float> q, size_t k, uint
   }
 }
 
-Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& load,
-                                                                double* deserialize_us,
-                                                                bool traced) {
+Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& load) {
   const uint32_t cluster = load.cluster;
   const uint64_t used_bytes = load.used_bytes;
   const ClusterMeta& meta = table_[cluster];
-  WallTimer timer;
-  std::optional<telemetry::TraceScope> decode_scope;
-  if (traced) {
-    decode_scope.emplace(trace_ctx_, "cluster.decode");
-    decode_scope->set_args(cluster, load.buffer.size());
-  }
-
   auto loaded = std::make_shared<LoadedCluster>();
 
   // One contiguous range: overflow records precede the blob for a backward
@@ -342,7 +333,6 @@ Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& loa
   }
   std::sort(loaded->tombstones.begin(), loaded->tombstones.end());
   loaded->used_bytes_at_load = used_bytes;
-  *deserialize_us += timer.elapsed_us();
   return LoadedClusterPtr(std::move(loaded));
 }
 
@@ -351,41 +341,105 @@ uint32_t ComputeNode::DoorbellWindow() const noexcept {
                                             : 1;
 }
 
-std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
-    std::vector<uint32_t>* remaining, const std::function<void()>& ring) {
-  // Stage buffers and post READs; ring per cluster (kNoDoorbell) or per
-  // doorbell chunk (kFull). A doorbell ring is a per-destination-QP batch,
-  // so loads are grouped by owning memory instance (node_slot) before
-  // chunking. The QP itself also enforces the doorbell window.
-  std::stable_sort(remaining->begin(), remaining->end(), [this](uint32_t a, uint32_t b) {
+std::unique_ptr<ComputeNode::LoadRound> ComputeNode::PostRound(std::vector<uint32_t> ids) {
+  // A doorbell ring is a per-destination-QP batch, so loads are grouped by
+  // owning memory instance (node_slot) and a ring closes where the
+  // destination changes. The QP splits a ring longer than the window, so
+  // kNoDoorbell's window of 1 rings every READ singly.
+  std::stable_sort(ids.begin(), ids.end(), [this](uint32_t a, uint32_t b) {
     return table_[a].node_slot < table_[b].node_slot;
   });
-
-  const uint32_t doorbell = DoorbellWindow();
-  std::vector<PendingLoad> pending;
-  pending.reserve(remaining->size());
-  uint32_t in_ring = 0;
-  uint32_t ring_slot = 0;
-  for (uint32_t cluster : *remaining) {
+  qp_.set_max_doorbell_wrs(DoorbellWindow());
+  auto round = std::make_unique<LoadRound>();
+  round->pending.reserve(ids.size());
+  for (uint32_t cluster : ids) {
     const ClusterMeta& meta = table_[cluster];
-    if (in_ring > 0 && meta.node_slot != ring_slot) {
-      ring();  // destination changed: close the previous batch
-      in_ring = 0;
+    if (!round->pending.empty() &&
+        table_[round->pending.back().cluster].node_slot != meta.node_slot) {
+      qp_.StageAsyncRing();
     }
-    ring_slot = meta.node_slot;
     const SlotRoute route = RouteFor(meta.node_slot);
     const ClusterMeta::Range range = meta.ReadRange(meta.overflow_used);
-    pending.push_back(
+    round->pending.push_back(
         PendingLoad{cluster, AlignedBuffer(range.length, 64), meta.overflow_used});
-    qp_.PostRead(route.rkey, range.offset, pending.back().buffer.span(), cluster,
+    qp_.PostRead(route.rkey, range.offset, round->pending.back().buffer.span(), cluster,
                  route.epoch);
-    if (++in_ring == doorbell) {
-      ring();
-      in_ring = 0;
-    }
   }
-  if (in_ring > 0) ring();
-  return pending;
+  round->batch = qp_.TakeAsyncBatch();
+  return round;
+}
+
+void ComputeNode::ExecuteRound(LoadRound* round) {
+  const WallTimer busy_timer;
+  qp_.ExecuteAsyncBatch(round->batch.get());
+  // One READ per pending load, in posted order: completion i is load i's.
+  const std::span<const rdma::Completion> completions = round->batch->completions();
+  for (size_t i = 0; i < round->pending.size(); ++i) {
+    PendingLoad& load = round->pending[i];
+    if (completions[i].status != rdma::WcStatus::kSuccess) {
+      load.parsed = rdma::QueuePair::ToStatus(completions[i]);
+      continue;
+    }
+    const WallTimer parse_timer;
+    load.parsed = DecodeLoaded(load);
+    load.parse_ns = parse_timer.elapsed_ns();
+  }
+  round->busy_ns = busy_timer.elapsed_ns();
+}
+
+std::vector<uint32_t> ComputeNode::ReapRound(LoadRound* round, LoadRoundState* state,
+                                             FreshLoads* out, BatchBreakdown* breakdown) {
+  if (round->done.valid()) {
+    // Join the prefetch worker; whatever of its busy time we did NOT spend
+    // waiting here ran concurrently with the previous wave's sub-searches.
+    const WallTimer wait_timer;
+    round->done.get();
+    const uint64_t wait_ns = wait_timer.elapsed_ns();
+    const uint64_t overlap_ns = round->busy_ns > wait_ns ? round->busy_ns - wait_ns : 0;
+    breakdown->pipeline_overlap_ns += overlap_ns;
+    Compute().pipeline_overlap_ns->Add(overlap_ns);
+  }
+  qp_.ReapAsyncBatch(round->batch.get());
+  // Unreachable/fenced loads are also failure-detector observations; once
+  // enough rounds strike out, the slot fails over and the next round's
+  // RouteFor resolves to the promoted replica at the bumped epoch.
+  ReportLoadFailures(DrainReadErrors(), breakdown);
+
+  std::vector<uint32_t> retry;
+  for (PendingLoad& load : round->pending) {
+    if (!load.parsed.ok()) {
+      // A failed READ, or a CRC/format mismatch on freshly read bytes (wire
+      // damage: a re-read fetches a clean copy). The damaged copy is NEVER
+      // cached, and a failed parse records no span.
+      if (IsRetryable(load.parsed.status())) retry.push_back(load.cluster);
+      RecordLoadError(state, load.cluster, load.parsed.status());
+      continue;
+    }
+    LoadedClusterPtr loaded = std::move(load.parsed).value();
+    const uint64_t transfer_bytes = loaded->buffer.size();
+    // The parse ran in ExecuteRound, maybe on the prefetch worker, and the
+    // trace buffer is single-writer: its span lands here, with its wall time.
+    trace_ctx_.Span("cluster.decode", telemetry::TraceEvent::kNoQuery, load.parse_ns,
+                    load.cluster, transfer_bytes);
+    breakdown->deserialize_us += static_cast<double>(load.parse_ns) / 1e3;
+    breakdown->clusters_loaded += 1;
+    breakdown->bytes_read += transfer_bytes;
+    if (options_.mode != EngineMode::kNaive) cache_.Put(load.cluster, loaded);
+    out->emplace_back(load.cluster, std::move(loaded));
+  }
+  return retry;
+}
+
+void ComputeNode::AbandonRound(LoadRound* round) {
+  if (round == nullptr) return;
+  if (round->done.valid()) round->done.get();
+  // Charge the posted round anyway (those READs did cross the fabric) and
+  // drop its completions: the batch is failing, nothing will consume them,
+  // and the next batch must find an empty CQ.
+  qp_.ReapAsyncBatch(round->batch.get());
+  rdma::Completion c;
+  while (qp_.PollCompletion(&c)) {
+  }
 }
 
 std::vector<std::pair<uint32_t, Status>> ComputeNode::DrainReadErrors() {
@@ -413,51 +467,6 @@ void ComputeNode::RecordLoadError(LoadRoundState* state, uint32_t cluster, Statu
   state->last_error.emplace_back(cluster, std::move(st));
 }
 
-void ComputeNode::ProcessLoadRound(
-    std::vector<PendingLoad>& pending,
-    const std::vector<std::pair<uint32_t, Status>>& read_errors,
-    std::vector<Result<LoadedClusterPtr>>* predecoded, LoadRoundState* state,
-    FreshLoads* out, BatchBreakdown* breakdown, std::vector<uint32_t>* next_round) {
-  auto fail_one = [&](uint32_t cluster, Status st) {
-    if (IsRetryable(st)) next_round->push_back(cluster);
-    RecordLoadError(state, cluster, std::move(st));
-  };
-
-  for (size_t i = 0; i < pending.size(); ++i) {
-    PendingLoad& load = pending[i];
-    const auto err = std::find_if(
-        read_errors.begin(), read_errors.end(),
-        [&load](const auto& e) { return e.first == load.cluster; });
-    if (err != read_errors.end()) {
-      fail_one(load.cluster, err->second);
-      continue;
-    }
-    Result<LoadedClusterPtr> loaded =
-        predecoded != nullptr ? std::move((*predecoded)[i])
-                              : DecodeLoaded(load, &breakdown->deserialize_us);
-    if (!loaded.ok()) {
-      // A CRC/format mismatch on freshly read bytes is wire damage; a
-      // re-read fetches a clean copy. The damaged copy is NEVER cached.
-      fail_one(load.cluster, loaded.status());
-      continue;
-    }
-    const uint64_t transfer_bytes = loaded.value()->buffer.size();
-    if (predecoded != nullptr) {
-      // The real decode ran on the prefetch worker (untraced — the buffer is
-      // single-writer); this marker keeps per-cluster decode visibility in
-      // the deterministic trace stream.
-      trace_ctx_.Event("cluster.decode", telemetry::TraceEvent::kNoQuery, load.cluster,
-                       transfer_bytes);
-    }
-    breakdown->clusters_loaded += 1;
-    breakdown->bytes_read += transfer_bytes;
-    if (options_.mode != EngineMode::kNaive) {
-      cache_.Put(load.cluster, loaded.value());
-    }
-    out->emplace_back(load.cluster, std::move(loaded).value());
-  }
-}
-
 bool ComputeNode::AdvanceLoadRound(LoadRoundState* state,
                                    const std::vector<uint32_t>& next_round,
                                    BatchBreakdown* breakdown) {
@@ -468,29 +477,6 @@ bool ComputeNode::AdvanceLoadRound(LoadRoundState* state,
   trace_ctx_.Event("load.retry", telemetry::TraceEvent::kNoQuery, next_round.size(),
                    backoff);
   return true;
-}
-
-void ComputeNode::RunLoadRounds(LoadRoundState* state, FreshLoads* out,
-                                BatchBreakdown* breakdown) {
-  qp_.set_max_doorbell_wrs(DoorbellWindow());
-  // One round loads `remaining` and reports per-cluster outcomes; transient
-  // failures (unreachable, timeout, CRC-detected corruption) go back into
-  // `remaining` with FRESH buffers and are retried under the retry budget.
-  while (!state->remaining.empty()) {
-    std::vector<PendingLoad> pending =
-        PostRoundReads(&state->remaining, [this] { qp_.RingDoorbell(); });
-    const std::vector<std::pair<uint32_t, Status>> read_errors = DrainReadErrors();
-    // Unreachable/fenced loads are also failure-detector observations; once
-    // enough rounds strike out, the slot fails over and the next round's
-    // RouteFor resolves to the promoted replica at the bumped epoch.
-    ReportLoadFailures(read_errors, breakdown);
-
-    std::vector<uint32_t> next_round;
-    ProcessLoadRound(pending, read_errors, nullptr, state, out, breakdown, &next_round);
-    if (next_round.empty()) break;
-    if (!AdvanceLoadRound(state, next_round, breakdown)) break;
-    state->remaining = std::move(next_round);
-  }
 }
 
 Status ComputeNode::FinalizeLoads(LoadRoundState* state, const FreshLoads& out,
@@ -507,15 +493,32 @@ Status ComputeNode::FinalizeLoads(LoadRoundState* state, const FreshLoads& out,
   return Status::Ok();
 }
 
-Status ComputeNode::LoadClusters(std::span<const uint32_t> ids, FreshLoads* out,
+Status ComputeNode::LoadClusters(std::span<const uint32_t> ids,
+                                 std::unique_ptr<LoadRound> first_round, FreshLoads* out,
                                  BatchBreakdown* breakdown, std::vector<FailedLoad>* failed) {
   if (ids.empty()) return Status::Ok();
   for (uint32_t cluster : ids) {
-    if (cluster >= table_.size()) return Status::InvalidArgument("LoadClusters: bad id");
+    if (cluster >= table_.size()) {
+      AbandonRound(first_round.get());
+      return Status::InvalidArgument("LoadClusters: bad id");
+    }
   }
+  // The budget starts before round 1's charge lands, prefetched or not.
   LoadRoundState state(options_.retry, &clock_, real_backoff_);
-  state.remaining.assign(ids.begin(), ids.end());
-  RunLoadRounds(&state, out, breakdown);
+  std::unique_ptr<LoadRound> round = std::move(first_round);
+  std::vector<uint32_t> remaining(ids.begin(), ids.end());
+  // Each round loads `remaining`; its transient failures (unreachable,
+  // timeout, CRC-detected corruption) come back as the next round, with
+  // FRESH buffers, while the retry budget allows.
+  for (;;) {
+    if (round == nullptr) {
+      round = PostRound(std::move(remaining));
+      ExecuteRound(round.get());
+    }
+    remaining = ReapRound(round.get(), &state, out, breakdown);
+    round.reset();
+    if (remaining.empty() || !AdvanceLoadRound(&state, remaining, breakdown)) break;
+  }
   return FinalizeLoads(&state, *out, breakdown, failed);
 }
 
@@ -532,114 +535,32 @@ ThreadPool* ComputeNode::PrefetchPool() {
   return prefetch_pool_.get();
 }
 
-std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
-    const LoadWave& wave, bool pipelined) {
-  auto state = std::make_unique<WaveLoadState>();
-  uint64_t resident_skips = 0;
+std::unique_ptr<ComputeNode::LoadRound> ComputeNode::IssueWaveLoads(const LoadWave& wave,
+                                                                    bool pipelined) {
+  // Every cluster in `to_load` missed the cache at plan time, and before
+  // this wave loads only the batch's other waves do, which hold other
+  // clusters: each one is still a miss.
   for (uint32_t cluster : wave.to_load) {
-    if (!cache_.Contains(cluster)) {
-      state->to_load.push_back(cluster);
-      trace_ctx_.Event("cache.miss", telemetry::TraceEvent::kNoQuery, cluster);
-    } else {
-      ++resident_skips;  // became resident since the plan (counts as a hit)
-    }
+    trace_ctx_.Event("cache.miss", telemetry::TraceEvent::kNoQuery, cluster);
   }
-  Compute().cache_miss_clusters->Add(state->to_load.size());
-  Compute().cache_hit_clusters->Add(resident_skips);
-  if (!pipelined || state->to_load.empty()) return state;
+  Compute().cache_miss_clusters->Add(wave.to_load.size());
+  if (!pipelined || wave.to_load.empty()) return nullptr;
 
-  // Pipelined path: post this wave's READs NOW and hand them to the prefetch
-  // worker; they drain (data movement + fault evaluation + decode) while the
-  // previous wave's sub-searches run. All sim-clock/stats accounting is
-  // deferred to the reap, so the fabric-visible op sequence — and with it
-  // every fault decision, retry, and simulated timestamp — is identical to
-  // the blocking path. The span is sim-instantaneous (posting advances no
-  // simulated time), keeping the exact stage/batch sim coverage invariant.
+  // Pipelined path: post this wave's READs NOW and hand the round to the
+  // prefetch worker; they drain (data movement + fault evaluation + parse)
+  // while the previous wave's sub-searches run. All sim-clock/stats
+  // accounting waits for the reap, so the fabric-visible op sequence — and
+  // with it every fault decision, retry, and simulated timestamp — is the
+  // same as an inline round's. The span is sim-instantaneous (posting
+  // advances no simulated time), keeping the exact stage/batch sim coverage
+  // invariant.
   telemetry::TraceScope prefetch_scope(trace_ctx_, "stage.prefetch");
-  state->async = true;
-  qp_.set_max_doorbell_wrs(DoorbellWindow());
-  state->pending = PostRoundReads(&state->to_load, [this] { qp_.StageAsyncRing(); });
-  state->batch = qp_.TakeAsyncBatch();
-  prefetch_scope.set_args(state->to_load.size(),
-                          state->batch != nullptr ? state->batch->num_wrs() : 0);
-  state->decoded.reserve(state->pending.size());
-  for (size_t i = 0; i < state->pending.size(); ++i) {
-    state->decoded.emplace_back(Status::Internal("prefetch: read failed before decode"));
-  }
+  std::unique_ptr<LoadRound> round = PostRound(wave.to_load);
+  prefetch_scope.set_args(wave.to_load.size(), round->batch->num_wrs());
   Compute().prefetch_waves->Add(1);
-
-  WaveLoadState* raw = state.get();
-  state->done = PrefetchPool()->Submit([this, raw] {
-    WallTimer worker_timer;
-    qp_.ExecuteAsyncBatch(raw->batch.get());
-    const std::span<const rdma::Completion> comps = raw->batch->completions();
-    for (size_t i = 0; i < raw->pending.size(); ++i) {
-      // Each WR carries its cluster id; decode only clusters whose READ
-      // succeeded.
-      const uint32_t cluster = raw->pending[i].cluster;
-      bool all_ok = true;
-      for (const rdma::Completion& c : comps) {
-        if (static_cast<uint32_t>(c.wr_id) == cluster &&
-            c.status != rdma::WcStatus::kSuccess) {
-          all_ok = false;
-          break;
-        }
-      }
-      if (!all_ok) continue;
-      raw->decoded[i] = DecodeLoaded(raw->pending[i], &raw->deserialize_us,
-                                     /*traced=*/false);
-    }
-    raw->worker_busy_ns = worker_timer.elapsed_ns();
-  });
-  return state;
-}
-
-Status ComputeNode::ReapWaveLoads(WaveLoadState* wave_load, FreshLoads* out,
-                                  BatchBreakdown* breakdown, std::vector<FailedLoad>* failed) {
-  if (!wave_load->async) return LoadClusters(wave_load->to_load, out, breakdown, failed);
-
-  // Join the prefetch worker; whatever of its busy time we did NOT spend
-  // waiting here ran concurrently with the previous wave's sub-searches.
-  WallTimer wait_timer;
-  wave_load->done.get();
-  wave_load->async = false;  // consumed: AbandonPrefetch must not re-join/re-reap
-  const uint64_t wait_ns = wait_timer.elapsed_ns();
-  const uint64_t overlap_ns =
-      wave_load->worker_busy_ns > wait_ns ? wave_load->worker_busy_ns - wait_ns : 0;
-  breakdown->pipeline_overlap_ns += overlap_ns;
-  Compute().pipeline_overlap_ns->Add(overlap_ns);
-
-  // Budget starts before the deferred charge lands, mirroring the blocking
-  // path where RetryBudget is constructed before round 1's network time.
-  LoadRoundState state(options_.retry, &clock_, real_backoff_);
-  qp_.ReapAsyncBatch(wave_load->batch.get());
-  const std::vector<std::pair<uint32_t, Status>> read_errors = DrainReadErrors();
-  ReportLoadFailures(read_errors, breakdown);
-
-  std::vector<uint32_t> next_round;
-  ProcessLoadRound(wave_load->pending, read_errors, &wave_load->decoded, &state, out,
-                   breakdown, &next_round);
-  breakdown->deserialize_us += wave_load->deserialize_us;
-  // Rounds >= 2 (transient faults on prefetched clusters) run blocking, on
-  // the shared retry machinery — backoff, failover reporting, and abandoned-
-  // load semantics are exactly those of the sequential path.
-  if (!next_round.empty() && AdvanceLoadRound(&state, next_round, breakdown)) {
-    state.remaining = std::move(next_round);
-    RunLoadRounds(&state, out, breakdown);
-  }
-  return FinalizeLoads(&state, *out, breakdown, failed);
-}
-
-void ComputeNode::AbandonPrefetch(WaveLoadState* wave_load) {
-  if (wave_load == nullptr || !wave_load->async) return;
-  if (wave_load->done.valid()) wave_load->done.get();
-  // Charge the posted round anyway (those READs did cross the fabric) and
-  // drop its completions: the batch is failing, nothing will consume them,
-  // and the next batch must find an empty CQ.
-  qp_.ReapAsyncBatch(wave_load->batch.get());
-  rdma::Completion c;
-  while (qp_.PollCompletion(&c)) {
-  }
+  LoadRound* raw = round.get();
+  round->done = PrefetchPool()->Submit([this, raw] { ExecuteRound(raw); });
+  return round;
 }
 
 Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t begin,
@@ -760,8 +681,8 @@ Status ComputeNode::NaiveStage(BatchState* batch) {
       FreshLoads loaded;
       std::vector<FailedLoad> failures;
       const uint32_t id[1] = {cluster};
-      DHNSW_RETURN_IF_ERROR(LoadClusters(
-          id, &loaded, &result.breakdown, options_.partial_results ? &failures : nullptr));
+      DHNSW_RETURN_IF_ERROR(LoadClusters(id, nullptr, &loaded, &result.breakdown,
+                                         options_.partial_results ? &failures : nullptr));
       if (!failures.empty()) {
         // Degrade this query only: it keeps candidates from its other
         // clusters; siblings in the batch are unaffected.
@@ -804,51 +725,48 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
   batch->heaps.reserve(batch->count);
   for (size_t i = 0; i < batch->count; ++i) batch->heaps.emplace_back(batch->k);
 
-  // Pipelined wave execution: with pipeline_depth >= 2, each wave's cluster
-  // READs are posted before the previous wave's sub-searches start, and
-  // drain + decode on the prefetch worker while those searches run.
-  // Issue/reap keeps all fabric accounting on this thread in the blocking
-  // path's exact order, so results, statuses, the cache, and the simulated
+  // Pipelined wave execution: with pipeline_depth >= 2, each wave's first
+  // load round is posted before the previous wave's sub-searches start, and
+  // executes + parses on the prefetch worker while those searches run. The
+  // reap keeps all fabric accounting on this thread in an inline round's
+  // exact order, so results, statuses, the cache, and the simulated
   // timeline are bit-identical either way.
   const bool pipelined = options_.pipeline_depth >= 2;
 
-  std::unique_ptr<WaveLoadState> inflight;
-  // A failing batch must not leave a posted-but-unreaped prefetch on the
-  // QP: the next batch would inherit its WRs and completions.
-  struct InflightDrain {
+  // The next wave's prefetched round. A failing batch must not leave it on
+  // the QP: the next batch would inherit its WRs and completions.
+  std::unique_ptr<LoadRound> prefetched;
+  struct PrefetchDrain {
     ComputeNode* node;
-    std::unique_ptr<WaveLoadState>* inflight;
-    ~InflightDrain() {
-      if (*inflight != nullptr) node->AbandonPrefetch(inflight->get());
-    }
-  } drain_guard{this, &inflight};
+    std::unique_ptr<LoadRound>* round;
+    ~PrefetchDrain() { node->AbandonRound(round->get()); }
+  } drain_guard{this, &prefetched};
 
   for (size_t wv = 0; wv < plan.waves.size(); ++wv) {
     const LoadWave& wave = plan.waves[wv];
-    if (inflight == nullptr) {
-      inflight = IssueWaveLoads(wave, pipelined);
-    }
+    std::unique_ptr<LoadRound> first_round =
+        pipelined && wv > 0 ? std::move(prefetched) : IssueWaveLoads(wave, pipelined);
     FreshLoads fresh;
     std::vector<FailedLoad> failures;
-    DHNSW_RETURN_IF_ERROR(LoadStage(wave, inflight.get(), &fresh, &failures, batch));
-    inflight.reset();
+    DHNSW_RETURN_IF_ERROR(LoadStage(wave, std::move(first_round), &fresh, &failures, batch));
     // One wave ahead (double-buffered): the next wave's misses post now and
     // drain on the prefetch worker while this wave's sub-searches run.
     if (pipelined && wv + 1 < plan.waves.size()) {
-      inflight = IssueWaveLoads(plan.waves[wv + 1], true);
+      prefetched = IssueWaveLoads(plan.waves[wv + 1], true);
     }
     DHNSW_RETURN_IF_ERROR(SubStage(wave, failures, batch));
   }
   return Status::Ok();
 }
 
-Status ComputeNode::LoadStage(const LoadWave& wave, WaveLoadState* inflight,
+Status ComputeNode::LoadStage(const LoadWave& wave, std::unique_ptr<LoadRound> first_round,
                               FreshLoads* fresh, std::vector<FailedLoad>* failures,
                               BatchState* batch) {
   telemetry::TraceScope load_scope(trace_ctx_, "stage.load");
-  load_scope.set_args(inflight->to_load.size(), wave.work.size());
-  DHNSW_RETURN_IF_ERROR(ReapWaveLoads(inflight, fresh, &batch->result.breakdown,
-                                      options_.partial_results ? failures : nullptr));
+  load_scope.set_args(wave.to_load.size(), wave.work.size());
+  DHNSW_RETURN_IF_ERROR(LoadClusters(wave.to_load, std::move(first_round), fresh,
+                                     &batch->result.breakdown,
+                                     options_.partial_results ? failures : nullptr));
   // Graceful degradation: a permanently failed cluster poisons only the
   // queries routed to it — they keep candidates from their other clusters
   // and carry the failure in their per-query status.

@@ -258,24 +258,23 @@ class ComputeNode {
   /// clusters alive for a whole wave even if the cache evicts one.
   using FreshLoads = std::vector<std::pair<uint32_t, LoadedClusterPtr>>;
 
-  /// Reads one cluster (blob + used overflow) into a fresh buffer and posts
-  /// nothing — the caller controls doorbell grouping via `qp_.PostRead`.
-  /// `used_bytes` snapshots the cluster's overflow counter at post time so a
-  /// prefetch worker can decode without touching the (owner-thread) table.
+  /// One cluster's READ in a load round: a fresh buffer for the blob plus
+  /// its used overflow, and the overflow counter snapshotted at post time.
+  /// ExecuteRound fills in the outcome.
   struct PendingLoad {
     uint32_t cluster;
     AlignedBuffer buffer;
     uint64_t used_bytes = 0;
+    /// The parsed cluster, or why its READ or its parse failed.
+    Result<LoadedClusterPtr> parsed = Status::Internal("not executed");
+    uint64_t parse_ns = 0;  ///< wall time of the parse
   };
 
   /// Turns one fetched load into a resident cluster: the buffer moves into
   /// the LoadedCluster, which parses the view over it in place, and the
-  /// overflow records are decoded beside it. `traced` = false suppresses
-  /// the "cluster.decode" span: the prefetch worker decodes off-thread and
-  /// the trace buffer is single-writer; the reap emits the deterministic
-  /// marker event instead.
-  Result<LoadedClusterPtr> DecodeLoaded(PendingLoad& load, double* deserialize_us,
-                                        bool traced = true);
+  /// overflow records are decoded beside it. Touches no trace, cache or QP
+  /// state, so it may run on the prefetch worker.
+  Result<LoadedClusterPtr> DecodeLoaded(PendingLoad& load);
 
   /// A cluster load abandoned after exhausting the retry budget.
   struct FailedLoad {
@@ -283,91 +282,79 @@ class ComputeNode {
     Status status;
   };
 
-  /// Loads `ids` (must not be cached): kFull coalesces into doorbell rings of
-  /// `doorbell_batch`, kNoDoorbell issues one ring each. Decoded clusters are
-  /// installed into the cache. Returns resident pointers for the wave.
-  /// Transient failures (unreachable / timeout / CRC mismatch) are retried
-  /// per options_.retry with backoff charged to the clock. Loads that still
-  /// fail are reported in `failed` when non-null (graceful degradation) or
-  /// fail the call with the first error when `failed` is null.
-  Status LoadClusters(std::span<const uint32_t> ids, FreshLoads* out,
-                      BatchBreakdown* breakdown, std::vector<FailedLoad>* failed = nullptr);
+  /// One round of cluster READs (DESIGN.md §10), in three steps. PostRound
+  /// (owner thread) posts one READ per cluster, closes a doorbell ring where
+  /// the destination changes, and takes the rings as an async batch.
+  /// ExecuteRound moves the data and parses every fetched cluster, inline or
+  /// on the prefetch worker. ReapRound (owner thread) does the deferred
+  /// accounting and installs what parsed. Heap-allocated so the prefetch
+  /// worker can hold a stable pointer.
+  struct LoadRound {
+    std::vector<PendingLoad> pending;  ///< posted order, one READ each
+    std::unique_ptr<rdma::AsyncBatch> batch;
+    uint64_t busy_ns = 0;              ///< wall ns ExecuteRound took
+    std::future<void> done;            ///< valid while on the prefetch worker
+  };
 
-  /// Mutable state of one LoadClusters retry sequence. Shared between the
-  /// blocking path (RunLoadRounds drives every round) and the pipelined reap,
-  /// which consumes the prefetched round itself and hands rounds >= 2 to the
-  /// same machinery — so retry counting, backoff, failover reporting, and
-  /// final error attribution are one code path regardless of executor.
+  /// Loads `ids` (must not be cached) round after round: kFull coalesces up
+  /// to `doorbell_batch` READs per ring, kNoDoorbell rings each singly.
+  /// `first_round`, when given, is `ids`' round already posted by
+  /// IssueWaveLoads; every other round is posted and executed inline here.
+  /// Parsed clusters are installed into the cache; returns resident
+  /// pointers for the wave. Transient failures (unreachable / timeout / CRC
+  /// mismatch) are retried per options_.retry with backoff charged to the
+  /// clock. Loads that still fail are reported in `failed` when non-null
+  /// (graceful degradation) or fail the call with the first error when
+  /// `failed` is null.
+  Status LoadClusters(std::span<const uint32_t> ids, std::unique_ptr<LoadRound> first_round,
+                      FreshLoads* out, BatchBreakdown* breakdown,
+                      std::vector<FailedLoad>* failed);
+
+  /// Mutable state of one LoadClusters retry sequence: retry counting,
+  /// backoff and final error attribution, whichever thread executed a round.
   struct LoadRoundState {
     LoadRoundState(const RetryPolicy& policy, SimClock* clock, bool real_sleep = false)
         : budget(policy, clock, real_sleep) {}
     RetryBudget budget;
     uint32_t round_failures = 0;
-    std::vector<uint32_t> remaining;
     /// Sticky per-cluster last error, kept across rounds for final reporting.
     std::vector<std::pair<uint32_t, Status>> last_error;
   };
 
-  /// One wave's cluster loads: the post-cache-check miss list, plus — on the
-  /// pipelined path — the posted async batch and the prefetch worker's
-  /// outputs. Heap-allocated so the worker can hold a stable pointer.
-  struct WaveLoadState {
-    std::vector<uint32_t> to_load;  ///< cache misses, sorted by node slot once posted
-    bool async = false;
-    // --- pipelined prefetch only ---
-    std::vector<PendingLoad> pending;             ///< posted order
-    std::unique_ptr<rdma::AsyncBatch> batch;
-    std::vector<Result<LoadedClusterPtr>> decoded;  ///< aligned with pending
-    double deserialize_us = 0.0;
-    uint64_t worker_busy_ns = 0;  ///< wall ns the worker spent (execute + decode)
-    std::future<void> done;
-  };
-
   /// kFull coalesces `doorbell_batch` READs per ring; other modes ring singly.
   uint32_t DoorbellWindow() const noexcept;
-  /// Sorts `remaining` by owning node slot, stages buffers, posts the READs,
-  /// and invokes `ring` exactly where the doorbell closes (destination change
-  /// / window full / end) — RingDoorbell on the blocking path, StageAsyncRing
-  /// on the async one, so both produce the same WR/ring sequence.
-  std::vector<PendingLoad> PostRoundReads(std::vector<uint32_t>* remaining,
-                                          const std::function<void()>& ring);
+  /// Posts one READ per cluster of `ids`, sorted by owning node slot into
+  /// fresh buffers, and takes them as the round's batch.
+  std::unique_ptr<LoadRound> PostRound(std::vector<uint32_t> ids);
+  /// Executes the round's batch and parses each cluster whose READ
+  /// succeeded. No clock, stats, trace, cache or CQ access.
+  void ExecuteRound(LoadRound* round);
+  /// Joins the round if it ran on the prefetch worker, charges it, reports
+  /// failed READs to the failure detector, and installs every parsed cluster
+  /// with one "cluster.decode" span each. Returns the clusters to retry.
+  std::vector<uint32_t> ReapRound(LoadRound* round, LoadRoundState* state, FreshLoads* out,
+                                  BatchBreakdown* breakdown);
+  /// Early-exit cleanup: joins, charges and drains a posted round whose
+  /// results will never be consumed, so the next batch finds a clean QP/CQ.
+  /// No-op on null.
+  void AbandonRound(LoadRound* round);
   /// Drains the CQ, returning (cluster, status) for every failed READ.
   std::vector<std::pair<uint32_t, Status>> DrainReadErrors();
   void RecordLoadError(LoadRoundState* state, uint32_t cluster, Status st);
-  /// Decodes/installs one executed round. `predecoded` non-null supplies the
-  /// prefetch worker's decode results (aligned with `pending`); null decodes
-  /// inline. Retryable failures land in `next_round`.
-  void ProcessLoadRound(std::vector<PendingLoad>& pending,
-                        const std::vector<std::pair<uint32_t, Status>>& read_errors,
-                        std::vector<Result<LoadedClusterPtr>>* predecoded,
-                        LoadRoundState* state, FreshLoads* out,
-                        BatchBreakdown* breakdown, std::vector<uint32_t>* next_round);
   /// Retry gate after a failed round: consumes budget, charges backoff, and
   /// records the accounting/trace event. False = give up (errors stand).
   bool AdvanceLoadRound(LoadRoundState* state, const std::vector<uint32_t>& next_round,
                         BatchBreakdown* breakdown);
-  /// Runs post/ring/drain/process rounds until `state->remaining` is empty or
-  /// the retry budget refuses.
-  void RunLoadRounds(LoadRoundState* state, FreshLoads* out, BatchBreakdown* breakdown);
   /// Final error attribution: abandoned clusters either fail the call (strict
   /// mode, `failed` null) or are reported for per-query degradation.
   Status FinalizeLoads(LoadRoundState* state, const FreshLoads& out,
                        BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
 
-  /// Computes a wave's miss list (cache checks + hit/miss accounting) and, on
-  /// the pipelined path, posts its READs and hands the batch to the prefetch
-  /// worker under a "stage.prefetch" span.
-  std::unique_ptr<WaveLoadState> IssueWaveLoads(const LoadWave& wave, bool pipelined);
-  /// Blocks until the wave's loads are resident (or abandoned): joins the
-  /// prefetch worker and performs the deferred sim/stats accounting, or runs
-  /// the whole blocking load when the wave was not issued asynchronously.
-  /// Retry rounds after a prefetched round run synchronously right here, so
-  /// recovery semantics match the blocking path exactly.
-  Status ReapWaveLoads(WaveLoadState* wave_load, FreshLoads* out,
-                       BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
-  /// Early-exit cleanup: joins + reaps an in-flight prefetch whose results
-  /// will never be consumed, keeping the QP/CQ consistent for the next batch.
-  void AbandonPrefetch(WaveLoadState* wave_load);
+  /// Records a wave's cache misses and, on the pipelined path, posts its
+  /// first load round and hands it to the prefetch worker under a
+  /// "stage.prefetch" span. Returns that round, or null when nothing was
+  /// posted.
+  std::unique_ptr<LoadRound> IssueWaveLoads(const LoadWave& wave, bool pipelined);
 
   /// Persistent worker pools (lazily built; the search pool is rebuilt when
   /// options_.search_threads changes). Constructing a ThreadPool per wave
@@ -422,8 +409,8 @@ class ComputeNode {
   Status RunWaves(const BatchPlan& plan, BatchState* batch);
   /// stage.load: makes the wave's clusters resident, degrades the queries of
   /// clusters that failed for good, and builds the wave's resident map.
-  Status LoadStage(const LoadWave& wave, WaveLoadState* inflight, FreshLoads* fresh,
-                   std::vector<FailedLoad>* failures, BatchState* batch);
+  Status LoadStage(const LoadWave& wave, std::unique_ptr<LoadRound> first_round,
+                   FreshLoads* fresh, std::vector<FailedLoad>* failures, BatchState* batch);
   /// stage.sub: the one sub-search loop, over query groups on the search
   /// pool.
   Status SubStage(const LoadWave& wave, const std::vector<FailedLoad>& failures,

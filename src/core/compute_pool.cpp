@@ -129,20 +129,14 @@ void ComputePool::ClearTraces() {
 }
 
 uint32_t ComputePool::PickNode(std::span<const uint32_t> routes) {
-  switch (options_.dispatch) {
-    case DispatchPolicy::kRoundRobin:
-      return round_robin_next_++ % static_cast<uint32_t>(lanes_.size());
-    case DispatchPolicy::kLeastLoaded: {
-      std::vector<size_t> outstanding(lanes_.size());
-      for (size_t i = 0; i < lanes_.size(); ++i) {
-        outstanding[i] = lanes_[i]->outstanding.load(std::memory_order_relaxed);
-      }
-      return PickLeastLoaded(outstanding, recent_, assigned_, routes);
+  if (options_.dispatch == DispatchPolicy::kLeastLoaded) {
+    std::vector<size_t> outstanding(lanes_.size());
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      outstanding[i] = lanes_[i]->outstanding.load(std::memory_order_relaxed);
     }
-    case DispatchPolicy::kLeastAssigned:
-      break;
+    return PickLeastLoaded(outstanding, recent_, assigned_, routes);
   }
-  uint32_t best = 0;
+  uint32_t best = 0;  // kLeastAssigned
   for (uint32_t i = 1; i < lanes_.size(); ++i) {
     if (assigned_[i] < assigned_[best]) best = i;
   }
@@ -262,7 +256,6 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
   }
   ++run_seq_;
   std::fill(assigned_.begin(), assigned_.end(), 0);
-  round_robin_next_ = 0;
   for (uint32_t t = 0; t < options_.num_tenants; ++t) tenant_inflight_[t].store(0);
   for (uint32_t i = 0; i < lanes_.size(); ++i) {
     Lane* lane = lanes_[i].get();

@@ -64,7 +64,6 @@ enum class DispatchPolicy : uint8_t {
   /// those routes. Adapts to slow nodes under paced load, but depends on
   /// wall-clock service times.
   kLeastLoaded = 1,
-  kRoundRobin = 2,
 };
 
 struct AdmissionOptions {
@@ -237,7 +236,6 @@ class ComputePool {
   /// which only their own workers touch, and persist across runs as the
   /// caches do.
   std::vector<std::vector<uint32_t>> recent_;
-  uint32_t round_robin_next_ = 0;
   std::unique_ptr<std::atomic<int64_t>[]> tenant_inflight_;
 
   // Per-run shared state (set by Run before dispatch, cleared after).

@@ -189,31 +189,11 @@ void QueuePair::MirrorStatsDelta(const QpStats& before) {
 }
 
 uint32_t QueuePair::RingDoorbell() {
-  if (send_queue_.empty()) return 0;
-  RefreshInjector();
-
-  const QpStats before = stats_;
-  uint32_t rings = 0;
-  size_t begin = 0;
-  // Scratch kept per-call (not per-chunk): one execute pass fills it, then the
-  // chunk is accounted and its completions land in the CQ.
-  std::vector<Completion> chunk_completions;
-  while (begin < send_queue_.size()) {
-    const size_t end = std::min(send_queue_.size(),
-                                begin + static_cast<size_t>(max_doorbell_wrs_));
-    chunk_completions.resize(end - begin);
-    const uint64_t charge_ns =
-        ExecuteRing({send_queue_.data() + begin, end - begin}, chunk_completions,
-                    &stats_.injected_faults);
-    AccountRing({send_queue_.data() + begin, end - begin}, chunk_completions, charge_ns);
-    completion_queue_.insert(completion_queue_.end(), chunk_completions.begin(),
-                             chunk_completions.end());
-    ++rings;
-    begin = end;
-  }
-  send_queue_.clear();
-  MirrorStatsDelta(before);
-  return rings;
+  assert(async_staging_ == nullptr && "RingDoorbell: staged async rings not taken");
+  std::unique_ptr<AsyncBatch> batch = TakeAsyncBatch();
+  if (batch == nullptr) return 0;
+  ExecuteAsyncBatch(batch.get());
+  return ReapAsyncBatch(batch.get());
 }
 
 void QueuePair::StageAsyncRing() {

@@ -30,19 +30,19 @@
 
 namespace dhnsw::rdma {
 
-/// A set of doorbell rings on the async issue/poll path (post now, reap
-/// completions later). Lifecycle, all driven by the owning QueuePair:
+/// A set of doorbell rings on their way through the QP (post now, reap
+/// completions later). Every ring takes this lifecycle, all driven by the
+/// owning QueuePair; RingDoorbell runs its three steps back to back:
 ///   1. owner thread: post WRs, mark ring boundaries with StageAsyncRing,
 ///      then detach the staged groups with TakeAsyncBatch;
 ///   2. any thread:   ExecuteAsyncBatch — data movement and fault evaluation
 ///      only, in posted order;
 ///   3. owner thread: ReapAsyncBatch — all deferred accounting (sim-clock
-///      charges, QpStats, trace spans, metric mirroring) in exactly the
-///      per-chunk order the synchronous RingDoorbell would have used, then
-///      the completions land in the CQ for polling.
+///      charges, QpStats, trace spans, metric mirroring) doorbell chunk by
+///      doorbell chunk, then the completions land in the CQ for polling.
 /// The split keeps every non-thread-safe QP resource (SimClock, QpStats,
-/// TraceBuffer, CQ) on the owner thread, so the simulated timeline of an
-/// async batch is bit-identical to ringing the same WRs synchronously.
+/// TraceBuffer, CQ) on the owner thread, so the simulated timeline of a
+/// batch executed on a worker is bit-identical to ringing the same WRs.
 class AsyncBatch {
  public:
   AsyncBatch() = default;
@@ -57,8 +57,8 @@ class AsyncBatch {
  private:
   friend class QueuePair;
   /// One StageAsyncRing call: wrs_[begin, end). The doorbell window captured
-  /// at take time further splits oversized groups at reap, mirroring
-  /// RingDoorbell's chunking.
+  /// at take time further splits oversized groups into chunks, one network
+  /// round trip each.
   struct RingGroup {
     size_t begin = 0;
     size_t end = 0;
@@ -101,7 +101,10 @@ class QueuePair {
 
   size_t pending_wrs() const noexcept { return send_queue_.size(); }
 
-  /// Executes everything posted since the last ring. Returns the number of
+  /// Executes everything posted since the last ring: TakeAsyncBatch,
+  /// ExecuteAsyncBatch and ReapAsyncBatch run inline on the owner thread, so
+  /// a ring has one lifecycle whichever thread executes it. Requires that no
+  /// StageAsyncRing groups are waiting to be taken. Returns the number of
   /// network round trips this ring consumed (>= 1 if anything was posted;
   /// > 1 when the doorbell window forced a split).
   uint32_t RingDoorbell();
@@ -126,7 +129,7 @@ class QueuePair {
   void ExecuteAsyncBatch(AsyncBatch* batch);
   /// Owner thread, after execution: performs the deferred accounting and
   /// pushes the batch's completions into the CQ. Returns the number of
-  /// network round trips charged (same count RingDoorbell would return).
+  /// network round trips charged.
   uint32_t ReapAsyncBatch(AsyncBatch* batch);
 
   /// --- completion queue ---
@@ -170,9 +173,8 @@ class QueuePair {
   /// and fault evaluation (sim: per-WR in the backend; real: client-side in
   /// the chaos decorator), no QP accounting. Returns the chunk's
   /// raw charge — injected latency on sim, measured wall ns on real backends.
-  /// Fault hits are counted into `*injected_faults` (the sync path passes
-  /// &stats_.injected_faults, the async path a batch-local count folded in at
-  /// reap).
+  /// Fault hits are counted into `*injected_faults`, the batch-local count
+  /// folded into QpStats at reap.
   uint64_t ExecuteRing(std::span<const WorkRequest> wrs, std::span<Completion> completions,
                        uint64_t* injected_faults);
   /// Shared reap-side accounting for one doorbell chunk whose WRs already

@@ -1,13 +1,14 @@
 // Pipelined-vs-sequential differential suite: with pipeline_depth >= 2 a
-// wave's cluster READs are posted before the previous wave's sub-searches
-// start and drain on the prefetch worker (ComputeNode::IssueWaveLoads /
-// ReapWaveLoads). Overlap is a wall-clock-only effect — every fabric-visible
+// wave's first load round is posted before the previous wave's sub-searches
+// start and executes on the prefetch worker (ComputeNode::IssueWaveLoads,
+// reaped by LoadClusters). Overlap is a wall-clock-only effect — every fabric-visible
 // op, fault decision, retry, cache mutation, and simulated timestamp must be
 // BIT-IDENTICAL to the blocking path. These tests replay the same seeded
 // batches under both modes (and across search_threads) and compare
 // everything observable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -173,6 +174,55 @@ TEST(PipelineTest, WarmCacheSecondBatchHitsMatchSequential) {
   EXPECT_EQ(plan_hits_seq, plan_hits_pipe);
   EXPECT_EQ(lru_hits_seq, lru_hits_pipe);
   EXPECT_GT(plan_hits_pipe, 0u);
+}
+
+// One "cluster.decode" span per successful parse, with that parse's wall
+// time, whichever thread parsed: a payload bit flip on the most-routed
+// cluster fails its first parse (which records nothing) and its re-read
+// parses clean, at depth 1 (inline rounds) and depth 2 (prefetched first
+// round, inline retry) alike.
+TEST(PipelineTest, ClusterDecodeSpanPerSuccessfulParseWithWallTime) {
+  for (uint32_t depth : {1u, 2u}) {
+    ChaosHarness h({.transport = rdma::TransportOptions::Sim()});
+    h.engine().compute(0).mutable_options()->pipeline_depth = depth;
+    h.engine().EnableTracing(1 << 16);
+
+    std::vector<uint32_t> hits(h.engine().num_partitions(), 0);
+    for (size_t qi = 0; qi < h.dataset().queries.size(); ++qi) {
+      for (uint32_t c : h.RoutesOf(qi)) ++hits[c];
+    }
+    const uint32_t victim =
+        static_cast<uint32_t>(std::max_element(hits.begin(), hits.end()) - hits.begin());
+    const ClusterMeta& meta = h.engine().memory_node()->plan().entries[victim];
+    rdma::FaultRule flip;
+    flip.kind = rdma::FaultKind::kBitFlip;
+    flip.opcode = rdma::Opcode::kRead;
+    // Past the blob header: the flip must land in the CRC-covered payload.
+    flip.offset_lo = meta.blob_offset + ClusterHeader::kEncodedSize;
+    flip.offset_hi = meta.blob_offset + meta.blob_size;
+    flip.max_triggers = 1;
+
+    auto run = h.RunUnderPlan(rdma::FaultPlan(victim).Add(flip), RetryPolicy::Default(),
+                              /*partial_results=*/false);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(SameResults(h.baseline(), run.value())) << "depth " << depth;
+    EXPECT_EQ(run.value().breakdown.retries, 1u) << "depth " << depth;
+
+    size_t misses = 0;
+    size_t decodes = 0;
+    size_t victim_decodes = 0;
+    for (const telemetry::TraceEvent& e : h.engine().compute(0).trace().events()) {
+      const std::string name = e.name;
+      if (name == "cache.miss") ++misses;
+      if (name != "cluster.decode") continue;
+      ++decodes;
+      if (e.a == victim) ++victim_decodes;
+      EXPECT_GT(e.wall_ns, 0u) << "depth " << depth << " cluster " << e.a;
+    }
+    EXPECT_GT(misses, 0u) << "depth " << depth;
+    EXPECT_EQ(decodes, misses) << "depth " << depth;
+    EXPECT_EQ(victim_decodes, 1u) << "depth " << depth;
+  }
 }
 
 // The prefetch pipeline has its own footprint in the process metrics.

@@ -4,7 +4,11 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "telemetry/trace.h"
 
 namespace dhnsw::rdma {
 namespace {
@@ -203,6 +207,96 @@ TEST_F(QueuePairTest, StatsDeltaSubtraction) {
   const QpStats delta = qp.stats() - snapshot;
   EXPECT_EQ(delta.round_trips, 2u);
   EXPECT_EQ(delta.bytes_read, 16u);
+}
+
+// Every ring runs post -> execute -> reap: RingDoorbell runs the three steps
+// inline, and a batch executed on another thread must be indistinguishable
+// from it. Two twin QPs take the same WRs — a group the doorbell window
+// splits, then a group holding an out-of-bounds READ — one ringing each
+// group, the other staging both and executing them on a std::thread.
+TEST_F(QueuePairTest, AsyncBatchOnAThreadMatchesRingDoorbell) {
+  struct Twin {
+    SimClock clock;
+    telemetry::TraceBuffer trace{64};
+    telemetry::TraceContext ctx{&trace, &clock};
+    std::vector<std::vector<uint8_t>> bufs =
+        std::vector<std::vector<uint8_t>>(8, std::vector<uint8_t>(256));
+    std::vector<uint8_t> record = std::vector<uint8_t>(64, 0x5a);
+  };
+  const auto post_group = [this](QueuePair& qp, Twin& t, size_t group) {
+    if (group == 0) {  // 6 WRs against a window of 4: two round trips
+      qp.PostWrite(rkey_, 4096, t.record, 100);
+      for (uint64_t i = 0; i < 5; ++i) qp.PostRead(rkey_, 4096 + i * 64, t.bufs[i], i);
+    } else {  // 3 WRs, the middle one past the end of the region
+      qp.PostRead(rkey_, 0, t.bufs[5], 5);
+      qp.PostRead(rkey_, kRegionSize - 8, t.bufs[6], 6);
+      qp.PostRead(rkey_, 8192, t.bufs[7], 7);
+    }
+  };
+  const auto drain = [](QueuePair& qp) {
+    std::vector<Completion> out;
+    Completion c;
+    while (qp.PollCompletion(&c)) out.push_back(c);
+    return out;
+  };
+
+  Twin a;
+  QueuePair ringing(&fabric_, &a.clock, /*max_doorbell_wrs=*/4);
+  ringing.set_trace(&a.ctx);
+  uint32_t rings_a = 0;
+  for (size_t group = 0; group < 2; ++group) {
+    post_group(ringing, a, group);
+    rings_a += ringing.RingDoorbell();
+  }
+
+  Twin b;
+  QueuePair threaded(&fabric_, &b.clock, /*max_doorbell_wrs=*/4);
+  threaded.set_trace(&b.ctx);
+  for (size_t group = 0; group < 2; ++group) {
+    post_group(threaded, b, group);
+    threaded.StageAsyncRing();
+  }
+  std::unique_ptr<AsyncBatch> batch = threaded.TakeAsyncBatch();
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->num_wrs(), 9u);
+  std::thread worker([&threaded, &batch] { threaded.ExecuteAsyncBatch(batch.get()); });
+  worker.join();
+  ASSERT_TRUE(batch->executed());
+  const uint32_t rings_b = threaded.ReapAsyncBatch(batch.get());
+
+  EXPECT_EQ(rings_a, 3u);
+  EXPECT_EQ(rings_b, rings_a);
+  const std::vector<Completion> ca = drain(ringing);
+  const std::vector<Completion> cb = drain(threaded);
+  ASSERT_EQ(ca.size(), 9u);
+  ASSERT_EQ(cb.size(), ca.size());
+  for (size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].wr_id, cb[i].wr_id) << i;
+    EXPECT_EQ(ca[i].status, cb[i].status) << i;
+    EXPECT_EQ(ca[i].byte_len, cb[i].byte_len) << i;
+    EXPECT_EQ(ca[i].status == WcStatus::kSuccess, ca[i].wr_id != 6) << i;
+  }
+  EXPECT_EQ(ca[7].status, WcStatus::kRemoteAccessError);
+  EXPECT_EQ(a.bufs, b.bufs);
+
+  const QpStats& sa = ringing.stats();
+  const QpStats& sb = threaded.stats();
+  EXPECT_EQ(sa.round_trips, 3u);
+  EXPECT_EQ(sb.round_trips, sa.round_trips);
+  EXPECT_EQ(sb.work_requests, sa.work_requests);
+  EXPECT_EQ(sb.reads, sa.reads);
+  EXPECT_EQ(sb.writes, sa.writes);
+  EXPECT_EQ(sb.atomics, sa.atomics);
+  EXPECT_EQ(sb.bytes_read, sa.bytes_read);
+  EXPECT_EQ(sb.bytes_written, sa.bytes_written);
+  EXPECT_EQ(sb.sim_network_ns, sa.sim_network_ns);
+  EXPECT_EQ(sb.injected_faults, sa.injected_faults);
+  EXPECT_GT(a.clock.now_ns(), 0u);
+  EXPECT_EQ(b.clock.now_ns(), a.clock.now_ns());
+
+  const telemetry::TraceExportOptions wall_free{.include_wall = false};
+  EXPECT_EQ(a.trace.size(), 3u);  // one "rdma.ring" per round trip
+  EXPECT_EQ(TraceToJsonl(b.trace, wall_free), TraceToJsonl(a.trace, wall_free));
 }
 
 }  // namespace
