@@ -105,6 +105,10 @@ DhnswEngine BuildEngine(const Dataset& ds, const BenchConfig& config) {
   dcfg.compute.cache_capacity = static_cast<uint32_t>(
       std::max(1.0, config.cache_fraction * config.num_representatives));
   dcfg.compute.doorbell_batch = config.doorbell_batch;
+  // The paper-reproduction benches measure the paper's sub-HNSW search;
+  // the default mode would scan their ~400-row partitions exactly and
+  // flatten Fig. 6's efSearch curves.
+  dcfg.compute.sub_search = SubSearchMode::kGraph;
   // Size the shared overflow like the paper (0.75 MB for SIFT1M pairs),
   // scaled to our record size: room for ~1000 inserted vectors per group.
   dcfg.layout.overflow_bytes_per_group = 1000ull * (8 + ds.base.dim() * 4ull);
@@ -130,6 +134,7 @@ std::unique_ptr<ComputeNode> AttachComputeNode(DhnswEngine& engine,
   options.cache_capacity = static_cast<uint32_t>(
       std::max(1.0, config.cache_fraction * config.num_representatives));
   options.doorbell_batch = config.doorbell_batch;
+  options.sub_search = SubSearchMode::kGraph;  // the paper's search, as in BuildEngine
   auto node = std::make_unique<ComputeNode>(&engine.fabric(), engine.memory_handle(),
                                             options);
   const Status st = node->Connect();

@@ -48,10 +48,12 @@ BenchConfig ParseFlags(int argc, char** argv, BenchConfig defaults);
 /// with exact ground truth at config.gt_k.
 Dataset LoadDataset(const BenchConfig& config);
 
-/// Builds the full d-HNSW system for the dataset.
+/// Builds the full d-HNSW system for the dataset. Its compute nodes walk
+/// the sub-HNSWs (SubSearchMode::kGraph), the paper's search.
 DhnswEngine BuildEngine(const Dataset& ds, const BenchConfig& config);
 
-/// Fresh compute node in the given mode, attached to the engine's fabric.
+/// Fresh compute node in the given mode, attached to the engine's fabric,
+/// walking the sub-HNSWs like BuildEngine's.
 std::unique_ptr<ComputeNode> AttachComputeNode(DhnswEngine& engine,
                                                const BenchConfig& config,
                                                EngineMode mode);

@@ -1,6 +1,8 @@
 // Microbenchmark for the SIMD distance-kernel subsystem (index/distance.h):
-// pairwise scalar vs the dispatched tier, plus the batched gather/rows
-// kernels, across all metrics at the paper's dims (SIFT=128, GIST=960).
+// pairwise scalar vs the dispatched tier, plus the batched gather/rows/tile
+// kernels, across all metrics at the paper's dims (SIFT=128, GIST=960). The
+// tile row scores kTileQueries queries against the same rows, so its
+// ns/vector is per (query, row) pair.
 //
 // The acceptance question it answers: does the batched one-to-many kernel
 // beat a scalar pairwise loop at dim >= 32? Output is a table on stdout and,
@@ -31,11 +33,15 @@ struct Workbench {
   std::vector<float> query;
   std::vector<float> base;        // kRows x dim
   std::vector<uint32_t> ids;      // kBatch random row ids (gather)
+  std::vector<float> tile_queries;  // kTileQueries x dim
   std::vector<float> out;
 
-  explicit Workbench(size_t d) : dim(d), query(d), base(kRows * d), ids(kBatch), out(kBatch) {
+  explicit Workbench(size_t d)
+      : dim(d), query(d), base(kRows * d), ids(kBatch), tile_queries(kTileQueries * d),
+        out(kTileQueries * kBatch) {
     Xoshiro256 rng(0xbe7cu + d);
     for (float& v : query) v = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
+    for (float& v : tile_queries) v = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
     for (float& v : base) v = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
     for (uint32_t& id : ids) id = static_cast<uint32_t>(rng.NextBounded(kRows));
   }
@@ -68,6 +74,9 @@ void RunDim(size_t dim, size_t reps, bench::JsonWriter& json) {
     const PairKernel active_pair = active.Pair(metric);
     const GatherKernel gather = active.Gather(metric);
     const RowsKernel rows = active.Rows(metric);
+    const TileKernel tile = active.Tile(metric);
+    const float* tile_queries[kTileQueries];
+    for (size_t i = 0; i < kTileQueries; ++i) tile_queries[i] = wb.tile_queries.data() + i * dim;
 
     struct Variant {
       const char* name;
@@ -97,6 +106,10 @@ void RunDim(size_t dim, size_t reps, bench::JsonWriter& json) {
          })},
         {"rows_contiguous", TimePerVector(reps, kBatch, [&] {
            rows(wb.query.data(), wb.base.data(), dim, kBatch, wb.out.data());
+           g_sink = wb.out[0];
+         })},
+        {"tile_contiguous", TimePerVector(reps, kTileQueries * kBatch, [&] {
+           tile(tile_queries, kTileQueries, wb.base.data(), dim, kBatch, wb.out.data());
            g_sink = wb.out[0];
          })},
     };

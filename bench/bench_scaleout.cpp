@@ -3,8 +3,9 @@
 //
 //   A. Capacity: a drain run through the live pool (worker threads,
 //      backpressure) gives wall throughput, and a sequential per-node replay
-//      of the run's own assignment (median of 5 replays per node) gives
-//      MODELED capacity ops / max_n(busy_n) — the throughput an N-core
+//      of the run's own assignment (median of 5 replays per node, each timed
+//      on the process CPU clock) gives MODELED capacity ops / max_n(busy_n)
+//      — the throughput an N-core
 //      deployment achieves, reported alongside wall because wall cannot
 //      scale past the host's core count (CI runs this on small machines).
 //      Scaling is sub-linear in the model too: each node has its own cold
@@ -23,6 +24,8 @@
 // artifact). `--ops=K` sizes the schedules; `--read_fraction=F` adds inserts
 // to the mix (default 1.0 keeps the engine immutable so every N sees the
 // same index and the modeled replay stays side-effect-free).
+#include <time.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +37,6 @@
 
 #include "bench_common.h"
 #include "common/stats.h"
-#include "common/timer.h"
 #include "core/compute_pool.h"
 #include "core/workload_gen.h"
 #include "dataset/ground_truth.h"
@@ -82,12 +84,22 @@ dhnsw::WorkloadGenOptions BaseWorkload(const dhnsw::bench::BenchConfig& config,
   return w;
 }
 
+/// CPU time this process has used, in µs: every thread's (the replay's and
+/// the prefetch worker's), and none of the time a thread waits off the CPU.
+double ProcessCpuUs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) / 1e3;
+}
+
 // Modeled capacity: replay each node's share of the drain run — the ops the
 // run's OpOutcome::node says it executed — to completion on a fresh node, one
 // node at a time, through the same per-op path the pool workers use. Each
 // share is replayed kReplays times, each on a fresh node (cold cache, as in
-// the run), and its busy time is the median replay. The bottleneck node's
-// busy time bounds the run on an N-core host:
+// the run), and its busy time is the median replay's process CPU time: a
+// wall clock would also count the time the replay thread is descheduled on
+// a shared host, or waiting for the prefetch worker to wake. The bottleneck
+// node's busy time bounds the run on an N-core host:
 //   modeled_qps = ops / max_n(busy_n).
 // Search-only workloads only — replaying inserts would mutate the shared
 // region twice.
@@ -104,7 +116,7 @@ double ModeledCapacityQps(dhnsw::DhnswEngine& engine,
     std::vector<double> busy_us;
     for (int rep = 0; rep < kReplays; ++rep) {
       auto node = AttachComputeNode(engine, config, dhnsw::EngineMode::kFull);
-      dhnsw::WallTimer timer;
+      const double start_us = ProcessCpuUs();
       for (const dhnsw::WorkloadOp* op : per_node[i]) {
         dhnsw::VectorSet one(node->dim());
         one.Append(op->vector);
@@ -115,7 +127,7 @@ double ModeledCapacityQps(dhnsw::DhnswEngine& engine,
           std::exit(1);
         }
       }
-      busy_us.push_back(timer.elapsed_us());
+      busy_us.push_back(ProcessCpuUs() - start_us);
     }
     std::nth_element(busy_us.begin(), busy_us.begin() + kReplays / 2, busy_us.end());
     max_busy_us = std::max(max_busy_us, busy_us[kReplays / 2]);

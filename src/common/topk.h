@@ -46,9 +46,19 @@ class TopKHeap {
       return true;
     }
     if (distance >= heap_.front().distance) return false;
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = {distance, id};
-    std::push_heap(heap_.begin(), heap_.end());
+    // Evict the root (the max) by sifting the newcomer down from it: one
+    // pass instead of pop_heap + push_heap. The same element leaves, and no
+    // caller sees the layout (only size, worst() and sorted output).
+    const Scored item{distance, id};
+    const size_t n = heap_.size();
+    size_t hole = 0;
+    for (size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && heap_[child] < heap_[child + 1]) ++child;
+      if (!(item < heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = item;
     return true;
   }
 

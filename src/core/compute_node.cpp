@@ -1,7 +1,6 @@
 #include "core/compute_node.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <utility>
@@ -68,6 +67,30 @@ const ComputeInstruments& Compute() {
     };
   }();
   return instruments;
+}
+
+/// Queries one scan unit runs against a cluster's row blocks: enough that
+/// each block's trip into L1 serves many queries, few enough that one
+/// popular cluster's queries still spread over the search pool.
+constexpr size_t kScanUnitQueries = 32;
+/// Bytes of rows per scan block: with a unit's queries (16 KB at 128-d)
+/// the block stays in a 48 KB L1 while every query scores it.
+constexpr size_t kScanBlockBytes = 16 * 1024;
+constexpr size_t kScanBlockMaxRows = 64;
+/// Queries per chunk of SubStage's merge.
+constexpr size_t kMergeGrain = 64;
+
+/// Overflow bytes, in allocation order, before the first claimed-but-
+/// unwritten slot of `area` (its `used` bytes as read). Forward records
+/// grow up from the area's start and backward ones down from its end
+/// (ClusterMeta::RecordOffset).
+uint64_t CommittedPrefix(OverflowDirection direction, std::span<const uint8_t> area,
+                         uint64_t used, size_t record_size) {
+  for (uint64_t p = 0; p < used; p += record_size) {
+    const uint64_t at = direction == OverflowDirection::kForward ? p : used - p - record_size;
+    if (!OverflowSlotCommitted(area.subspan(at, record_size))) return p;
+  }
+  return used;
 }
 
 }  // namespace
@@ -231,11 +254,13 @@ Status ComputeNode::RefreshMetadata() {
         DecodeClusterMeta(buf.subspan(static_cast<size_t>(c) * ClusterMeta::kEncodedSize,
                                       ClusterMeta::kEncodedSize)));
   }
-  // Drop cached clusters whose overflow advanced since they were loaded —
-  // their resident copy is missing the newly inserted vectors.
+  // Drop cached clusters whose copy lacks a record the counter has handed
+  // out: the overflow advanced since the load, or a slot it covered was
+  // claimed but not yet written when it was read (a copy is complete only up
+  // to its first uncommitted slot, so the counter must equal that prefix).
   for (uint32_t c = 0; c < fresh.size(); ++c) {
     const LoadedClusterPtr* resident = cache_.Peek(c);
-    if (resident != nullptr && (*resident)->used_bytes_at_load != fresh[c].overflow_used) {
+    if (resident != nullptr && (*resident)->committed_bytes != fresh[c].overflow_used) {
       cache_.Erase(c);
     }
   }
@@ -249,48 +274,77 @@ bool ComputeNode::LoadedCluster::IsDeleted(uint32_t global_id) const noexcept {
   return std::binary_search(tombstones.begin(), tombstones.end(), global_id);
 }
 
-void ComputeNode::LoadedCluster::Search(std::span<const float> q, size_t k, uint32_t ef,
-                                        Metric metric, SubSearchMode mode,
-                                        TopKHeap* out) const {
-  if (mode == SubSearchMode::kFlatScan) {
-    // IVF-style exact scan over the cluster's stored vectors: the rows are
-    // contiguous, so score a chunk per batched-kernel call (dispatch
-    // hoisted) and filter tombstones only when folding into the heap.
-    const RowsKernel rows = ActiveKernels().Rows(metric);
-    const uint32_t dim = view->dim();
-    const std::span<const uint32_t> gids = view->global_ids();
-    constexpr size_t kChunk = 256;
-    float dists[kChunk];
-    const size_t n = view->size();
-    for (size_t base = 0; base < n; base += kChunk) {
-      const size_t cnt = std::min(kChunk, n - base);
-      rows(q.data(), view->rows() + base * dim, dim, cnt, dists);
-      for (size_t j = 0; j < cnt; ++j) {
-        const uint32_t gid = gids[base + j];
-        if (!IsDeleted(gid)) out->Push(dists[j], gid);
+bool ComputeNode::LoadedCluster::Scanned(SubSearchMode mode, uint32_t ef) const noexcept {
+  switch (mode) {
+    case SubSearchMode::kGraph: return false;
+    case SubSearchMode::kFlatScan: return true;
+    case SubSearchMode::kAuto:
+      return view->size() <= uint64_t{kAutoScanRowsPerEf} * std::max<uint32_t>(ef, 1);
+  }
+  return false;
+}
+
+void ComputeNode::LoadedCluster::Walk(std::span<const float> q, size_t k, uint32_t ef,
+                                      Metric metric, TopKHeap* out) const {
+  // Graph part: local ids -> global ids, skipping tombstoned entries. Ask
+  // for a few extra candidates so deletions don't starve the top-k. The
+  // result buffer is thread-local so steady-state sub-searches allocate
+  // nothing.
+  const size_t slack = std::min<size_t>(tombstones.size(), 64);
+  static thread_local std::vector<Scored> results;
+  view->Search(q, k + slack, std::max<uint32_t>(ef, 1), &results);
+  const std::span<const uint32_t> gids = view->global_ids();
+  for (const Scored& s : results) {
+    const uint32_t gid = gids[s.id];
+    if (!IsDeleted(gid)) out->Push(s.distance, gid);
+  }
+  PushOverflow(q.data(), metric, out);
+}
+
+void ComputeNode::LoadedCluster::Scan(std::span<const float* const> queries, Metric metric,
+                                      TopKHeap* const* heaps) const {
+  // IVF-style exact scan, cluster-major: each block of contiguous rows is
+  // scored against every query before the next block is touched. The tile
+  // kernel is bit-identical to the pair kernel, so a query's distances, and
+  // with them its heap, do not depend on which queries share its unit.
+  const TileKernel tile = ActiveKernels().Tile(metric);
+  const uint32_t dim = view->dim();
+  const size_t n = view->size();
+  const float* rows = view->rows();
+  const std::span<const uint32_t> gids = view->global_ids();
+  const size_t block = std::clamp<size_t>(kScanBlockBytes / (size_t{dim} * sizeof(float)), 1,
+                                          kScanBlockMaxRows);
+  float dists[kTileQueries * kScanBlockMaxRows];
+  for (size_t base = 0; base < n; base += block) {
+    const size_t cnt = std::min(block, n - base);
+    for (size_t first = 0; first < queries.size(); first += kTileQueries) {
+      const size_t nq = std::min(kTileQueries, queries.size() - first);
+      tile(queries.data() + first, nq, rows + base * dim, dim, cnt, dists);
+      for (size_t i = 0; i < nq; ++i) {
+        // Fold with Push's own rejection test (distance >= worst) up
+        // front, so a row that cannot enter costs one compare and the
+        // tombstone lookup runs only for rows that can.
+        TopKHeap& heap = *heaps[first + i];
+        const float* d = dists + i * cnt;
+        for (size_t j = 0; j < cnt; ++j) {
+          if (heap.full() && (heap.k() == 0 || d[j] >= heap.worst())) continue;
+          const uint32_t gid = gids[base + j];
+          if (!IsDeleted(gid)) heap.Push(d[j], gid);
+        }
       }
     }
-  } else {
-    // Graph part: local ids -> global ids, skipping tombstoned entries. Ask
-    // for a few extra candidates so deletions don't starve the top-k. The
-    // result buffer is thread-local so steady-state sub-searches allocate
-    // nothing.
-    const size_t slack = std::min<size_t>(tombstones.size(), 64);
-    static thread_local std::vector<Scored> results;
-    view->Search(q, k + slack, std::max<uint32_t>(ef, 1), &results);
-    const std::span<const uint32_t> gids = view->global_ids();
-    for (const Scored& s : results) {
-      const uint32_t gid = gids[s.id];
-      if (!IsDeleted(gid)) out->Push(s.distance, gid);
-    }
   }
-  // Overflow part: the paper appends inserted vectors as raw records read
-  // back with the cluster; they have no graph links yet, so they are
-  // scanned exactly.
+  for (size_t i = 0; i < queries.size(); ++i) PushOverflow(queries[i], metric, heaps[i]);
+}
+
+void ComputeNode::LoadedCluster::PushOverflow(const float* q, Metric metric,
+                                              TopKHeap* out) const {
+  // The paper appends inserted vectors as raw records read back with the
+  // cluster; they have no graph links yet, so they are scanned exactly.
   const PairKernel pair = ActiveKernels().Pair(metric);
   for (const OverflowRecord& rec : overflow) {
     if (!IsDeleted(rec.global_id)) {
-      out->Push(pair(rec.vector.data(), q.data(), rec.vector.size()), rec.global_id);
+      out->Push(pair(rec.vector.data(), q, rec.vector.size()), rec.global_id);
     }
   }
 }
@@ -332,7 +386,8 @@ Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(PendingLoad& loa
     }
   }
   std::sort(loaded->tombstones.begin(), loaded->tombstones.end());
-  loaded->used_bytes_at_load = used_bytes;
+  loaded->committed_bytes = CommittedPrefix(meta.direction, overflow_bytes, used_bytes,
+                                            OverflowRecordSize(header_.dim));
   return LoadedClusterPtr(std::move(loaded));
 }
 
@@ -712,8 +767,13 @@ BatchPlan ComputeNode::PlanStage(BatchState* batch) {
 
 void ComputeNode::SearchResident(const LoadedCluster& cluster, std::span<const float> q,
                                  const BatchState& batch, TopKHeap* heap) const {
-  cluster.Search(q, batch.k, batch.ef_search, options_.sub_hnsw_template.metric,
-                 options_.sub_search, heap);
+  const Metric metric = options_.sub_hnsw_template.metric;
+  if (cluster.Scanned(options_.sub_search, batch.ef_search)) {
+    const float* query = q.data();
+    cluster.Scan({&query, 1}, metric, &heap);
+  } else {
+    cluster.Walk(q, batch.k, batch.ef_search, metric, heap);
+  }
 }
 
 bool ComputeNode::LoadFailed(const std::vector<FailedLoad>& failures, uint32_t cluster) {
@@ -800,49 +860,110 @@ Status ComputeNode::LoadStage(const LoadWave& wave, std::unique_ptr<LoadRound> f
   return Status::Ok();
 }
 
+Status ComputeNode::PlanSubUnits(const std::vector<WorkItem>& work,
+                                 const std::vector<FailedLoad>& failures, uint32_t ef) {
+  // A scanned cluster's items, in item order, are split evenly into units of
+  // at most kScanUnitQueries; a walked item is a unit alone. The scan units
+  // go first, so the pool's tail is filled by the small walks. Items of
+  // clusters that failed at load are in no unit.
+  units_.clear();
+  unit_items_.clear();
+  walked_items_.clear();
+  for (size_t w = 0; w < work.size(); ++w) {
+    if (LoadFailed(failures, work[w].cluster)) continue;
+    const LoadedCluster* cluster = wave_resident_[work[w].cluster];
+    if (cluster == nullptr) return Status::Internal("wave cluster not resident");
+    (cluster->Scanned(options_.sub_search, ef) ? unit_items_ : walked_items_)
+        .push_back(static_cast<uint32_t>(w));
+  }
+  std::stable_sort(unit_items_.begin(), unit_items_.end(), [&work](uint32_t a, uint32_t b) {
+    return work[a].cluster < work[b].cluster;
+  });
+  const size_t scanned = unit_items_.size();
+  for (size_t begin = 0; begin < scanned;) {
+    const uint32_t cluster = work[unit_items_[begin]].cluster;
+    size_t end = begin;
+    while (end < scanned && work[unit_items_[end]].cluster == cluster) ++end;
+    const size_t count = end - begin;
+    const size_t parts = (count + kScanUnitQueries - 1) / kScanUnitQueries;
+    for (size_t p = 0; p < parts; ++p) {
+      const size_t lo = begin + count * p / parts, hi = begin + count * (p + 1) / parts;
+      units_.push_back(SubUnit{static_cast<uint32_t>(lo), static_cast<uint32_t>(hi - lo)});
+    }
+    begin = end;
+  }
+  for (uint32_t w : walked_items_) {
+    units_.push_back(SubUnit{static_cast<uint32_t>(unit_items_.size()), 1});
+    unit_items_.push_back(w);
+  }
+  return Status::Ok();
+}
+
 Status ComputeNode::SubStage(const LoadWave& wave, const std::vector<FailedLoad>& failures,
                              BatchState* batch) {
   WallTimer sub_timer;
   telemetry::TraceScope sub_scope(trace_ctx_, "stage.sub");
   sub_scope.set_args(wave.work.size());
   const std::vector<WorkItem>& work = wave.work;
+  DHNSW_RETURN_IF_ERROR(PlanSubUnits(work, failures, batch->ef_search));
 
-  // Work items are grouped by query, so a query's group is one unit of pool
-  // work and each heap keeps a single owner. Group g is the item range
-  // [starts[g], starts[g + 1]).
-  std::vector<size_t> starts;
-  for (size_t w = 0; w < work.size(); ++w) {
-    if (w == 0 || work[w].query_index != work[w - 1].query_index) starts.push_back(w);
-  }
-  starts.push_back(work.size());
-  // Workers time each searched item into its own slot; the owner appends the
-  // "query.sub" spans in item order after the join (single-writer buffer).
+  // Every item fills its own heap, so units share nothing and may run on any
+  // worker in any order; the pooled heaps only need re-arming.
+  while (item_heaps_.size() < work.size()) item_heaps_.emplace_back(batch->k);
+  for (size_t w = 0; w < work.size(); ++w) item_heaps_[w].Reset(batch->k);
+  // Workers time each unit and give each of its items an equal share of the
+  // unit's wall time; the owner appends the "query.sub" spans in item order
+  // after the join (single-writer buffer).
   constexpr uint64_t kNotSearched = UINT64_MAX;
   const bool traced = trace_ctx_.enabled();
-  std::vector<uint64_t> item_wall(traced ? work.size() : 0, kNotSearched);
-  std::atomic<bool> not_resident{false};
+  item_wall_.assign(traced ? work.size() : 0, kNotSearched);
+  const Metric metric = options_.sub_hnsw_template.metric;
 
-  ForChunks(starts.size() - 1, 1, [&](size_t first, size_t last) {
-    for (size_t w = starts[first]; w < starts[last]; ++w) {
-      const WorkItem& item = work[w];
-      if (LoadFailed(failures, item.cluster)) continue;  // degraded at load
-      const LoadedCluster* cluster = wave_resident_[item.cluster];
-      if (cluster == nullptr) {
-        not_resident.store(true, std::memory_order_relaxed);
-        return;
-      }
+  ForChunks(units_.size(), 1, [&](size_t first, size_t last) {
+    for (size_t u = first; u < last; ++u) {
+      const SubUnit unit = units_[u];
+      const uint32_t* items = unit_items_.data() + unit.first;
+      const LoadedCluster& cluster = *wave_resident_[work[items[0]].cluster];
       const WallTimer timer;
-      Compute().sub_searches->Add(1);
-      SearchResident(*cluster, batch->queries[batch->begin + item.query_index], *batch,
-                     &batch->heaps[item.query_index]);
-      if (traced) item_wall[w] = timer.elapsed_ns();
+      if (cluster.Scanned(options_.sub_search, batch->ef_search)) {
+        const float* queries[kScanUnitQueries];
+        TopKHeap* heaps[kScanUnitQueries];
+        for (uint32_t i = 0; i < unit.count; ++i) {
+          queries[i] = batch->queries[batch->begin + work[items[i]].query_index].data();
+          heaps[i] = &item_heaps_[items[i]];
+        }
+        cluster.Scan({queries, unit.count}, metric, heaps);
+      } else {
+        SearchResident(cluster, batch->queries[batch->begin + work[items[0]].query_index],
+                       *batch, &item_heaps_[items[0]]);
+      }
+      Compute().sub_searches->Add(unit.count);
+      if (traced) {
+        const uint64_t share = timer.elapsed_ns() / unit.count;
+        for (uint32_t i = 0; i < unit.count; ++i) item_wall_[items[i]] = share;
+      }
     }
   });
-  for (size_t w = 0; w < item_wall.size(); ++w) {
-    if (item_wall[w] == kNotSearched) continue;
-    trace_ctx_.Span("query.sub", work[w].query_index, item_wall[w], work[w].cluster);
+
+  // Merge: each query folds its items' heaps into its running heap in item
+  // order, whichever worker searched them, so results do not depend on the
+  // thread count. Work items are grouped by query; query g owns the item
+  // range [query_starts_[g], query_starts_[g + 1]).
+  query_starts_.clear();
+  for (size_t w = 0; w < work.size(); ++w) {
+    if (w == 0 || work[w].query_index != work[w - 1].query_index) query_starts_.push_back(w);
   }
-  if (not_resident.load()) return Status::Internal("wave cluster not resident");
+  query_starts_.push_back(work.size());
+  ForChunks(query_starts_.size() - 1, kMergeGrain, [&](size_t first, size_t last) {
+    for (size_t w = query_starts_[first]; w < query_starts_[last]; ++w) {
+      TopKHeap& heap = batch->heaps[work[w].query_index];
+      for (const Scored& s : item_heaps_[w].SortAscending()) heap.Push(s.distance, s.id);
+    }
+  });
+  for (size_t w = 0; w < item_wall_.size(); ++w) {
+    if (item_wall_[w] == kNotSearched) continue;
+    trace_ctx_.Span("query.sub", work[w].query_index, item_wall_[w], work[w].cluster);
+  }
   batch->result.breakdown.sub_us += sub_timer.elapsed_us();
   return Status::Ok();
 }

@@ -47,7 +47,20 @@ enum class SubSearchMode : uint8_t {
   kGraph = 0,     ///< sub-HNSW greedy search with efSearch (the paper)
   kFlatScan = 1,  ///< exact linear scan of the cluster's vectors — the
                   ///< "d-IVF" ablation isolating the graph's contribution
+  kAuto = 2,      ///< per cluster by row count: a cluster of at most
+                  ///< kAutoScanRowsPerEf x efSearch rows is scanned
+                  ///< exactly, a larger one walks its sub-HNSW
 };
+
+/// kAuto's crossover, in rows of a cluster's base blob per unit of efSearch
+/// (768 rows at ef 32; overflow records are scanned in every mode). A9
+/// (`bench_ablation_subsearch`, EXPERIMENTS.md) timed every searched item
+/// by its cluster's rows on a 4-vCPU AVX-512 Xeon at 128-d: a single
+/// query's exact scan costs as much as its graph walk near 22 rows per ef
+/// (about 700 rows at ef 32, 2,500 at ef 128), and a batch's cluster-major
+/// scan keeps winning to about twice that. The rule reads only the cluster
+/// and the call's ef, so a query's answer never depends on its batch.
+inline constexpr uint32_t kAutoScanRowsPerEf = 24;
 
 struct ComputeOptions {
   EngineMode mode = EngineMode::kFull;
@@ -70,8 +83,9 @@ struct ComputeOptions {
   /// (tests/test_pipeline.cpp); only wall-clock time changes. kNaive mode
   /// has no wave structure to overlap and ignores it.
   uint32_t pipeline_depth = 2;
-  /// Graph search (the paper) or exact per-cluster scan (IVF-style ablation).
-  SubSearchMode sub_search = SubSearchMode::kGraph;
+  /// Graph search (the paper), exact per-cluster scan (IVF-style ablation),
+  /// or the per-cluster choice by row count.
+  SubSearchMode sub_search = SubSearchMode::kAuto;
   HnswOptions sub_hnsw_template;    ///< decode-side options (metric etc.)
   /// Retry/backoff applied to every fabric operation (cluster loads,
   /// metadata refresh, insert rings). Disabled by default: fault-free
@@ -245,13 +259,30 @@ class ComputeNode {
     std::optional<ClusterView> view;
     std::vector<OverflowRecord> overflow;      ///< live records
     std::vector<uint32_t> tombstones;          ///< deleted global ids (sorted)
-    uint64_t used_bytes_at_load = 0;
+    /// Overflow bytes, in allocation order, before the first slot whose FAA
+    /// had landed but whose WRITE had not when the copy was read: the copy
+    /// holds every record the region's counter has handed out only while
+    /// that counter still equals this.
+    uint64_t committed_bytes = 0;
 
     bool IsDeleted(uint32_t global_id) const noexcept;
+    /// Whether `mode` scans this cluster exactly at `ef` rather than
+    /// walking it.
+    bool Scanned(SubSearchMode mode, uint32_t ef) const noexcept;
 
-    /// Searches graph + overflow, pushing *global* ids into `out`.
-    void Search(std::span<const float> q, size_t k, uint32_t ef, Metric metric,
-                SubSearchMode mode, TopKHeap* out) const;
+    /// Sub-HNSW walk + overflow scan for one query, pushing *global* ids
+    /// into `out`.
+    void Walk(std::span<const float> q, size_t k, uint32_t ef, Metric metric,
+              TopKHeap* out) const;
+    /// The one exact scan: every live row and overflow record against each
+    /// of `queries`, query i's candidates into heaps[i]. Rows stream in
+    /// L1-sized blocks, each scored by the tile kernel kTileQueries queries
+    /// at a time, so a block leaves L1 only after every query has seen it.
+    void Scan(std::span<const float* const> queries, Metric metric,
+              TopKHeap* const* heaps) const;
+
+   private:
+    void PushOverflow(const float* q, Metric metric, TopKHeap* out) const;
   };
   using LoadedClusterPtr = std::shared_ptr<const LoadedCluster>;
   /// (cluster, resident copy) pairs a load produced. Holding them keeps the
@@ -411,10 +442,16 @@ class ComputeNode {
   /// clusters that failed for good, and builds the wave's resident map.
   Status LoadStage(const LoadWave& wave, std::unique_ptr<LoadRound> first_round,
                    FreshLoads* fresh, std::vector<FailedLoad>* failures, BatchState* batch);
-  /// stage.sub: the one sub-search loop, over query groups on the search
-  /// pool.
+  /// stage.sub: the wave's items as units on the search pool — a scanned
+  /// cluster's items in units of up to kScanUnitQueries queries, every
+  /// walked item alone — each item into its own heap, then every query
+  /// merges its items' heaps in item order.
   Status SubStage(const LoadWave& wave, const std::vector<FailedLoad>& failures,
                   BatchState* batch);
+  /// Lays out units_ / unit_items_ for the wave's searched items at `ef`. Fails
+  /// with Internal if an item's cluster is neither resident nor failed.
+  Status PlanSubUnits(const std::vector<WorkItem>& work,
+                      const std::vector<FailedLoad>& failures, uint32_t ef);
   /// stage.finalize: sorts each query's heap into its result.
   void FinalizeStage(BatchState* batch);
   /// Network accounting and the always-on compute instruments of one batch.
@@ -425,7 +462,8 @@ class ComputeNode {
   /// call, so a single-threaded node never starts a pool thread.
   void ForChunks(size_t n, size_t grain, const std::function<void(size_t, size_t)>& fn);
 
-  /// Searches one resident cluster for `q` into `heap`.
+  /// Searches one resident cluster for `q` into `heap`: a one-query Scan or
+  /// a Walk, as options_.sub_search picks for the cluster.
   void SearchResident(const LoadedCluster& cluster, std::span<const float> q,
                       const BatchState& batch, TopKHeap* heap) const;
   /// Whether `cluster` is among a wave's abandoned loads.
@@ -512,6 +550,21 @@ class ComputeNode {
   /// cost O(work x fresh) and raced the LRU recency splice from pool threads.
   std::vector<const LoadedCluster*> wave_resident_;
   std::vector<uint8_t> wave_probed_;  ///< clusters already looked up this wave
+  /// SubStage's scratch, kept across waves and batches so a steady-state
+  /// wave allocates nothing: one bounded heap per work item, the units (a
+  /// range of unit_items_, which holds work-item indices; walked_items_
+  /// stages the walked ones), the first item of each query's run, and
+  /// per-item wall time for the query.sub spans.
+  struct SubUnit {
+    uint32_t first;
+    uint32_t count;
+  };
+  std::vector<TopKHeap> item_heaps_;
+  std::vector<SubUnit> units_;
+  std::vector<uint32_t> unit_items_;
+  std::vector<uint32_t> walked_items_;
+  std::vector<size_t> query_starts_;
+  std::vector<uint64_t> item_wall_;
   std::unique_ptr<ThreadPool> search_pool_;
   std::unique_ptr<ThreadPool> prefetch_pool_;  ///< 1 thread: drains + decodes prefetches
 

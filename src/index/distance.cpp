@@ -102,6 +102,9 @@ const KernelTable& ScalarKernels() noexcept {
       &RowsImpl<&L2SqScalar>,
       &RowsImpl<&IpScalar>,
       &RowsImpl<&CosineScalar>,
+      &TileImpl<&L2SqScalar>,
+      &TileImpl<&IpScalar>,
+      &TileImpl<&CosineScalar>,
   };
   return table;
 }

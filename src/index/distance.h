@@ -8,19 +8,24 @@
 // to anything but "0" pins the process to the scalar tier — the parity tests
 // and CI run both ways.
 //
-// Three kernel shapes:
+// Four kernel shapes:
 //  - pair:    one (query, vector) pair -> one distance,
 //  - gather:  one query against n rows of a row-major base matrix addressed
 //             by id (out[i] = dist(q, base + ids[i]*dim)), with software
 //             prefetch of upcoming rows — the HNSW neighbor-expansion shape,
-//  - rows:    one query against n *contiguous* rows — the flat-scan shape.
+//  - rows:    one query against n *contiguous* rows,
+//  - tile:    up to kTileQueries queries against n contiguous rows
+//             (out[i*n + j] = dist(queries[i], rows + j*dim)) — the exact
+//             scan's shape: a row's loads serve several queries at once.
 //
 // Numerical contract (holds for every tier):
 //  - all tiers accumulate in balanced partial sums (8/16 stripes), so any two
 //    tiers agree within a few ULPs; the parity suite enforces <= 4 ULPs
 //    against the scalar reference (use `UlpDiff` for principled comparison),
-//  - within one tier, gather/rows results are bit-identical to the pair
-//    kernel applied per element,
+//  - within one tier, gather/rows/tile results are bit-identical to the pair
+//    kernel applied per element, with the query as the pair's first operand
+//    (the tile keeps each pair's own stripes and reduction order and only
+//    shares the row's loads between queries),
 //  - cosine zero-vector convention: whenever the norm product is not a
 //    positive finite number (either vector has zero norm, or the product
 //    underflows/overflows to 0/inf/NaN), the distance is exactly 1.0f —
@@ -55,6 +60,13 @@ using GatherKernel = void (*)(const float* query, const float* base, size_t dim,
                               const uint32_t* ids, size_t n, float* out) noexcept;
 using RowsKernel = void (*)(const float* query, const float* rows, size_t dim,
                             size_t n, float* out) noexcept;
+/// `nq` (1..kTileQueries) queries against `n` contiguous rows; query i's
+/// distances land in out[i*n, i*n + n).
+using TileKernel = void (*)(const float* const* queries, size_t nq, const float* rows,
+                            size_t dim, size_t n, float* out) noexcept;
+
+/// Most queries one tile kernel call scores.
+inline constexpr size_t kTileQueries = 4;
 
 /// One ISA tier's full kernel set. Hot paths hoist the table (or individual
 /// function pointers) out of their loops once instead of re-dispatching.
@@ -63,6 +75,7 @@ struct KernelTable {
   PairKernel l2, ip, cosine;
   GatherKernel l2_gather, ip_gather, cosine_gather;
   RowsKernel l2_rows, ip_rows, cosine_rows;
+  TileKernel l2_tile, ip_tile, cosine_tile;
 
   PairKernel Pair(Metric m) const noexcept {
     switch (m) {
@@ -87,6 +100,14 @@ struct KernelTable {
       case Metric::kCosine: return cosine_rows;
     }
     return l2_rows;
+  }
+  TileKernel Tile(Metric m) const noexcept {
+    switch (m) {
+      case Metric::kL2: return l2_tile;
+      case Metric::kInnerProduct: return ip_tile;
+      case Metric::kCosine: return cosine_tile;
+    }
+    return l2_tile;
   }
 };
 

@@ -104,6 +104,129 @@ float CosineAvx2(const float* a, const float* b, size_t n) noexcept {
   return FinishCosine(dot, na, nb);
 }
 
+// --- Tile kernels: up to kTileQueries queries against contiguous rows. ---
+// Each (query, row) pair keeps exactly its pair kernel's stripes, loop
+// order, reduction and scalar tail, so every output is bit-identical to that
+// kernel's. With 16 ymm registers a row is scored against two queries at a
+// time (8 accumulators), so a row chunk is loaded twice for four queries
+// instead of four times.
+
+/// One 8-lane step of L2SqAvx2 (kL2) or IpAvx2: acc += (a-b)^2 or a*b.
+template <bool kL2>
+inline __m256 DotLikeStep(__m256 a, __m256 b, __m256 acc) noexcept {
+  if constexpr (kL2) {
+    const __m256 d = _mm256_sub_ps(a, b);
+    return _mm256_fmadd_ps(d, d, acc);
+  } else {
+    return _mm256_fmadd_ps(a, b, acc);
+  }
+}
+
+/// NQ (1 or 2) queries against one row, stride `stride` between queries'
+/// outputs: the four 32-float stripes, the 8-float loop into stripe 0, the
+/// reduction and the sequential scalar tail of L2SqAvx2 / IpAvx2.
+template <bool kL2, size_t NQ>
+inline void DotLikeRow(const float* const* q, const float* b, size_t n, float* out,
+                       size_t stride) noexcept {
+  __m256 acc[NQ][4];
+  for (size_t t = 0; t < NQ; ++t) {
+    for (size_t s = 0; s < 4; ++s) acc[t][s] = _mm256_setzero_ps();
+  }
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (size_t s = 0; s < 4; ++s) {
+      const __m256 vb = _mm256_loadu_ps(b + i + 8 * s);
+      for (size_t t = 0; t < NQ; ++t) {
+        acc[t][s] = DotLikeStep<kL2>(_mm256_loadu_ps(q[t] + i + 8 * s), vb, acc[t][s]);
+      }
+    }
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vb = _mm256_loadu_ps(b + i);
+    for (size_t t = 0; t < NQ; ++t) {
+      acc[t][0] = DotLikeStep<kL2>(_mm256_loadu_ps(q[t] + i), vb, acc[t][0]);
+    }
+  }
+  for (size_t t = 0; t < NQ; ++t) {
+    float sum = ReduceAdd8(_mm256_add_ps(_mm256_add_ps(acc[t][0], acc[t][1]),
+                                         _mm256_add_ps(acc[t][2], acc[t][3])));
+    for (size_t r = i; r < n; ++r) {
+      if constexpr (kL2) {
+        const float d = q[t][r] - b[r];
+        sum += d * d;
+      } else {
+        sum += q[t][r] * b[r];
+      }
+    }
+    out[t * stride] = kL2 ? sum : -sum;
+  }
+}
+
+template <bool kL2>
+void DotLikeTile(const float* const* queries, size_t nq, const float* rows, size_t dim,
+                 size_t n, float* out) noexcept {
+  for (size_t j = 0; j < n; ++j) {
+    const float* row = rows + j * dim;
+    size_t t = 0;
+    for (; t + 2 <= nq; t += 2) DotLikeRow<kL2, 2>(queries + t, row, dim, out + t * n + j, n);
+    if (t < nq) DotLikeRow<kL2, 1>(queries + t, row, dim, out + t * n + j, n);
+  }
+}
+
+/// NQ cosine dot products against one row: CosineAvx2's `dot` stripes
+/// (16-float loop into stripes 0/1, 8-float loop into 0), reduction and
+/// scalar tail. The norms run the same steps with b == a, so they come from
+/// here too.
+template <size_t NQ>
+inline void CosineDotRow(const float* const* q, const float* b, size_t n,
+                         float* dots) noexcept {
+  __m256 dot[NQ][2];
+  for (size_t t = 0; t < NQ; ++t) dot[t][0] = dot[t][1] = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256 vb0 = _mm256_loadu_ps(b + i), vb1 = _mm256_loadu_ps(b + i + 8);
+    for (size_t t = 0; t < NQ; ++t) {
+      dot[t][0] = _mm256_fmadd_ps(_mm256_loadu_ps(q[t] + i), vb0, dot[t][0]);
+      dot[t][1] = _mm256_fmadd_ps(_mm256_loadu_ps(q[t] + i + 8), vb1, dot[t][1]);
+    }
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vb = _mm256_loadu_ps(b + i);
+    for (size_t t = 0; t < NQ; ++t) {
+      dot[t][0] = _mm256_fmadd_ps(_mm256_loadu_ps(q[t] + i), vb, dot[t][0]);
+    }
+  }
+  for (size_t t = 0; t < NQ; ++t) {
+    float sum = ReduceAdd8(_mm256_add_ps(dot[t][0], dot[t][1]));
+    for (size_t r = i; r < n; ++r) sum += q[t][r] * b[r];
+    dots[t] = sum;
+  }
+}
+
+template <size_t NQ>
+void CosineRows(const float* const* q, const float* rows, size_t dim, size_t n,
+                float* out) noexcept {
+  float na[NQ];
+  for (size_t t = 0; t < NQ; ++t) CosineDotRow<1>(&q[t], q[t], dim, &na[t]);
+  for (size_t j = 0; j < n; ++j) {
+    const float* row = rows + j * dim;
+    float nb, dots[NQ];
+    CosineDotRow<1>(&row, row, dim, &nb);
+    CosineDotRow<NQ>(q, row, dim, dots);
+    for (size_t t = 0; t < NQ; ++t) out[t * n + j] = FinishCosine(dots[t], na[t], nb);
+  }
+}
+
+void CosineTile(const float* const* queries, size_t nq, const float* rows, size_t dim,
+                size_t n, float* out) noexcept {
+  switch (nq) {
+    case 1: return CosineRows<1>(queries, rows, dim, n, out);
+    case 2: return CosineRows<2>(queries, rows, dim, n, out);
+    case 3: return CosineRows<3>(queries, rows, dim, n, out);
+    default: return CosineRows<4>(queries, rows, dim, n, out);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2Kernels() noexcept {
@@ -118,6 +241,9 @@ const KernelTable& Avx2Kernels() noexcept {
       &RowsImpl<&L2SqAvx2>,
       &RowsImpl<&IpAvx2>,
       &RowsImpl<&CosineAvx2>,
+      &DotLikeTile<true>,
+      &DotLikeTile<false>,
+      &CosineTile,
   };
   return table;
 }

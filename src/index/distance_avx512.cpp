@@ -119,6 +119,135 @@ float CosineAvx512(const float* a, const float* b, size_t n) noexcept {
                       ReduceAdd16(_mm512_add_ps(nb0, nb1)));
 }
 
+// --- Tile kernels: up to kTileQueries queries against contiguous rows. ---
+// Each (query, row) pair keeps exactly its pair kernel's stripes, loop
+// order and reduction, so every output is bit-identical to that kernel's;
+// what the tile adds is that a row chunk is loaded once for all queries.
+
+/// One 16-lane step of L2SqAvx512 (kL2) or IpAvx512: acc += (a-b)^2 or a*b.
+template <bool kL2>
+inline __m512 DotLikeStep(__m512 a, __m512 b, __m512 acc) noexcept {
+  if constexpr (kL2) {
+    const __m512 d = _mm512_sub_ps(a, b);
+    return _mm512_fmadd_ps(d, d, acc);
+  } else {
+    return _mm512_fmadd_ps(a, b, acc);
+  }
+}
+
+/// NQ queries against one row, stride `stride` between queries' outputs:
+/// the four 64-float stripes, the 16-float loop into stripe 0 and the
+/// masked tail into stripe 1 of L2SqAvx512 / IpAvx512.
+template <bool kL2, size_t NQ>
+inline void DotLikeRow(const float* const* q, const float* b, size_t n, float* out,
+                       size_t stride) noexcept {
+  __m512 acc[NQ][4];
+  for (size_t t = 0; t < NQ; ++t) {
+    for (size_t s = 0; s < 4; ++s) acc[t][s] = _mm512_setzero_ps();
+  }
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    for (size_t s = 0; s < 4; ++s) {
+      const __m512 vb = _mm512_loadu_ps(b + i + 16 * s);
+      for (size_t t = 0; t < NQ; ++t) {
+        acc[t][s] = DotLikeStep<kL2>(_mm512_loadu_ps(q[t] + i + 16 * s), vb, acc[t][s]);
+      }
+    }
+  }
+  for (; i + 16 <= n; i += 16) {
+    const __m512 vb = _mm512_loadu_ps(b + i);
+    for (size_t t = 0; t < NQ; ++t) {
+      acc[t][0] = DotLikeStep<kL2>(_mm512_loadu_ps(q[t] + i), vb, acc[t][0]);
+    }
+  }
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 vb = _mm512_maskz_loadu_ps(m, b + i);
+    for (size_t t = 0; t < NQ; ++t) {
+      acc[t][1] = DotLikeStep<kL2>(_mm512_maskz_loadu_ps(m, q[t] + i), vb, acc[t][1]);
+    }
+  }
+  for (size_t t = 0; t < NQ; ++t) {
+    const float sum = ReduceAdd16(_mm512_add_ps(_mm512_add_ps(acc[t][0], acc[t][1]),
+                                                 _mm512_add_ps(acc[t][2], acc[t][3])));
+    out[t * stride] = kL2 ? sum : -sum;
+  }
+}
+
+template <bool kL2, size_t NQ>
+void DotLikeRows(const float* const* q, const float* rows, size_t dim, size_t n,
+                 float* out) noexcept {
+  for (size_t j = 0; j < n; ++j) DotLikeRow<kL2, NQ>(q, rows + j * dim, dim, out + j, n);
+}
+
+template <bool kL2>
+void DotLikeTile(const float* const* queries, size_t nq, const float* rows, size_t dim,
+                 size_t n, float* out) noexcept {
+  switch (nq) {
+    case 1: return DotLikeRows<kL2, 1>(queries, rows, dim, n, out);
+    case 2: return DotLikeRows<kL2, 2>(queries, rows, dim, n, out);
+    case 3: return DotLikeRows<kL2, 3>(queries, rows, dim, n, out);
+    default: return DotLikeRows<kL2, 4>(queries, rows, dim, n, out);
+  }
+}
+
+/// NQ cosine dot products against one row: CosineAvx512's `dot` stripes
+/// (32-float loop into stripes 0/1, 16-float loop into 0, masked tail into
+/// 1). The norms run the same stripes with b == a, so they come from here
+/// too.
+template <size_t NQ>
+inline void CosineDotRow(const float* const* q, const float* b, size_t n,
+                         float* dots) noexcept {
+  __m512 dot[NQ][2];
+  for (size_t t = 0; t < NQ; ++t) dot[t][0] = dot[t][1] = _mm512_setzero_ps();
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m512 vb0 = _mm512_loadu_ps(b + i), vb1 = _mm512_loadu_ps(b + i + 16);
+    for (size_t t = 0; t < NQ; ++t) {
+      dot[t][0] = _mm512_fmadd_ps(_mm512_loadu_ps(q[t] + i), vb0, dot[t][0]);
+      dot[t][1] = _mm512_fmadd_ps(_mm512_loadu_ps(q[t] + i + 16), vb1, dot[t][1]);
+    }
+  }
+  for (; i + 16 <= n; i += 16) {
+    const __m512 vb = _mm512_loadu_ps(b + i);
+    for (size_t t = 0; t < NQ; ++t) {
+      dot[t][0] = _mm512_fmadd_ps(_mm512_loadu_ps(q[t] + i), vb, dot[t][0]);
+    }
+  }
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 vb = _mm512_maskz_loadu_ps(m, b + i);
+    for (size_t t = 0; t < NQ; ++t) {
+      dot[t][1] = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, q[t] + i), vb, dot[t][1]);
+    }
+  }
+  for (size_t t = 0; t < NQ; ++t) dots[t] = ReduceAdd16(_mm512_add_ps(dot[t][0], dot[t][1]));
+}
+
+template <size_t NQ>
+void CosineRows(const float* const* q, const float* rows, size_t dim, size_t n,
+                float* out) noexcept {
+  float na[NQ];
+  for (size_t t = 0; t < NQ; ++t) CosineDotRow<1>(&q[t], q[t], dim, &na[t]);
+  for (size_t j = 0; j < n; ++j) {
+    const float* row = rows + j * dim;
+    float nb, dots[NQ];
+    CosineDotRow<1>(&row, row, dim, &nb);
+    CosineDotRow<NQ>(q, row, dim, dots);
+    for (size_t t = 0; t < NQ; ++t) out[t * n + j] = FinishCosine(dots[t], na[t], nb);
+  }
+}
+
+void CosineTile(const float* const* queries, size_t nq, const float* rows, size_t dim,
+                size_t n, float* out) noexcept {
+  switch (nq) {
+    case 1: return CosineRows<1>(queries, rows, dim, n, out);
+    case 2: return CosineRows<2>(queries, rows, dim, n, out);
+    case 3: return CosineRows<3>(queries, rows, dim, n, out);
+    default: return CosineRows<4>(queries, rows, dim, n, out);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx512Kernels() noexcept {
@@ -133,6 +262,9 @@ const KernelTable& Avx512Kernels() noexcept {
       &RowsImpl<&L2SqAvx512>,
       &RowsImpl<&IpAvx512>,
       &RowsImpl<&CosineAvx512>,
+      &DotLikeTile<true>,
+      &DotLikeTile<false>,
+      &CosineTile,
   };
   return table;
 }

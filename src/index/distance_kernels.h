@@ -5,7 +5,9 @@
 //
 // The gather/rows loop shapes are identical across tiers, so they live here
 // as templates over the tier's (inlined) pair kernels — instantiated inside
-// each TU they compile under that TU's ISA flags and inline fully.
+// each TU they compile under that TU's ISA flags and inline fully. The tile
+// shape is a template too for the scalar and NEON tiers; AVX2 and AVX-512
+// hand-block it so a row's loads serve several queries.
 #pragma once
 
 #include "index/distance.h"
@@ -81,6 +83,17 @@ void RowsImpl(const float* query, const float* rows, size_t dim, size_t n,
               float* out) noexcept {
   for (size_t i = 0; i < n; ++i) {
     out[i] = Pair(query, rows + i * dim, dim);
+  }
+}
+
+/// out[i*n + j] = Pair(queries[i], rows + j*dim): the tile shape as a plain
+/// loop over the pair kernel, row-major so each row is still in L1 for
+/// every query.
+template <PairKernel Pair>
+void TileImpl(const float* const* queries, size_t nq, const float* rows, size_t dim,
+              size_t n, float* out) noexcept {
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < nq; ++i) out[i * n + j] = Pair(queries[i], rows + j * dim, dim);
   }
 }
 

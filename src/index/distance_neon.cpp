@@ -101,6 +101,9 @@ const KernelTable& NeonKernels() noexcept {
       &RowsImpl<&L2SqNeon>,
       &RowsImpl<&IpNeon>,
       &RowsImpl<&CosineNeon>,
+      &TileImpl<&L2SqNeon>,
+      &TileImpl<&IpNeon>,
+      &TileImpl<&CosineNeon>,
   };
   return table;
 }

@@ -45,6 +45,12 @@ void EncodeOverflowTombstone(uint32_t global_id, uint32_t dim, std::span<uint8_t
   std::memcpy(dst.data() + 8, &crc, 4);
 }
 
+bool OverflowSlotCommitted(std::span<const uint8_t> slot) noexcept {
+  uint32_t flags = 0;
+  std::memcpy(&flags, slot.data() + 4, 4);
+  return (flags & kOverflowCommitted) != 0;
+}
+
 Result<OverflowRecord> DecodeOverflowRecord(std::span<const uint8_t> src, uint32_t dim) {
   const size_t rec = OverflowRecordSize(dim);
   if (src.size() < rec) {

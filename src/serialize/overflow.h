@@ -60,6 +60,10 @@ void EncodeOverflowRecord(uint32_t global_id, std::span<const float> vector,
 /// Encodes a tombstone for `global_id` (`dim` fixes the record stride).
 void EncodeOverflowTombstone(uint32_t global_id, uint32_t dim, std::span<uint8_t> dst);
 
+/// Whether the slot starting at `slot` (at least 8 bytes) holds a committed
+/// record — false for a slot claimed by FAA whose WRITE has not landed.
+bool OverflowSlotCommitted(std::span<const uint8_t> slot) noexcept;
+
 /// Decodes one record from `src` (must be >= OverflowRecordSize(dim)).
 Result<OverflowRecord> DecodeOverflowRecord(std::span<const uint8_t> src, uint32_t dim);
 

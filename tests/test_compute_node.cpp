@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
+#include "common/sim_clock.h"
 #include "core/engine.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
+#include "rdma/queue_pair.h"
 
 namespace dhnsw {
 namespace {
@@ -335,6 +339,208 @@ TEST_F(ComputeNodeTest, OverflowCapacityExhaustionReportsCapacity) {
   EXPECT_GT(inserted, 0);
   EXPECT_LE(inserted, 3);
   EXPECT_EQ(last.code(), StatusCode::kCapacity);
+}
+
+// --- Freshness of cached clusters across a torn insert window ------------
+
+/// Claims one record's slot in `cluster`'s overflow with a raw FAA on the
+/// region's counter, as a writing node's AppendRecords does before its WRITE
+/// lands. Returns the claimed position (the counter's old value).
+uint64_t ClaimSlot(rdma::QueuePair& qp, const DhnswEngine& engine, uint32_t cluster,
+                   uint64_t bytes) {
+  const LayoutPlan& plan = engine.memory_node()->plan();
+  const uint64_t counter = plan.header.table_offset +
+                           uint64_t{cluster} * ClusterMeta::kEncodedSize +
+                           ClusterMeta::kUsedFieldOffset;
+  auto old = qp.FetchAdd(engine.memory_handle().rkey_for_slot(0), counter, bytes);
+  EXPECT_TRUE(old.ok()) << old.status().ToString();
+  return old.ok() ? old.value() : 0;
+}
+
+bool Returns(const std::vector<Scored>& found, uint32_t id) {
+  return std::any_of(found.begin(), found.end(), [id](const Scored& s) { return s.id == id; });
+}
+
+TEST(ComputeNodeFreshnessTest, CopyReadBeforeAClaimedSlotIsWrittenIsReloaded) {
+  // A node that loads a cluster between another writer's FAA and its WRITE
+  // reads the claimed slot as uncommitted and skips it. The table's counter
+  // already covers that slot, so unless the copy remembers where its
+  // committed records end, no later refresh sees a change and the node
+  // keeps serving a copy without the acked insert (and, below, without the
+  // acked tombstone).
+  Dataset ds = MakeSynthetic({.dim = 8, .num_base = 800, .num_queries = 1,
+                              .num_clusters = 5, .seed = 64});
+  DhnswConfig config = DhnswConfig::Defaults();
+  config.transport = rdma::TransportOptions::Sim();
+  config.meta.num_representatives = 5;
+  config.sub_hnsw = HnswOptions{.M = 8, .ef_construction = 40};
+  config.layout.overflow_bytes_per_group = 8192;
+  config.compute.cache_capacity = 8;
+  config.num_compute_nodes = 2;
+  auto built = DhnswEngine::Build(ds.base, config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  DhnswEngine& engine = built.value();
+  ComputeNode& node_b = engine.compute(1);
+
+  constexpr uint32_t kId = 900100;
+  const std::vector<float> v(8, 300.0f);
+  VectorSet probe(8);
+  probe.Append(v);
+  const uint32_t cluster = node_b.meta().RouteOne(v);
+  const ClusterMeta& meta = engine.memory_node()->plan().entries[cluster];
+  const rdma::RKey record_rkey = engine.memory_handle().rkey_for_slot(meta.node_slot);
+  SimClock clock;
+  rdma::QueuePair writer(&engine.fabric(), &clock);
+  std::vector<uint8_t> record(meta.record_size);
+
+  // Insert: claim, let node B cache the cluster, then commit the record.
+  EncodeOverflowRecord(kId, v, record);
+  uint64_t slot = ClaimSlot(writer, engine, cluster, record.size());
+  auto torn = node_b.SearchAll(probe, 3, 32);
+  ASSERT_TRUE(torn.ok()) << torn.status().ToString();
+  ASSERT_TRUE(node_b.IsCached(cluster));
+  EXPECT_FALSE(Returns(torn.value().results[0], kId));
+  ASSERT_TRUE(writer.Write(record_rkey, meta.RecordOffset(slot), record).ok());
+  auto inserted = node_b.SearchAll(probe, 3, 32);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  ASSERT_FALSE(inserted.value().results[0].empty());
+  EXPECT_EQ(inserted.value().results[0][0].id, kId);
+  EXPECT_EQ(inserted.value().results[0][0].distance, 0.0f);
+
+  // Tombstone: the same window must not keep the deleted id alive.
+  EncodeOverflowTombstone(kId, 8, record);
+  slot = ClaimSlot(writer, engine, cluster, record.size());
+  auto torn_delete = node_b.SearchAll(probe, 3, 32);
+  ASSERT_TRUE(torn_delete.ok()) << torn_delete.status().ToString();
+  ASSERT_TRUE(node_b.IsCached(cluster));
+  EXPECT_TRUE(Returns(torn_delete.value().results[0], kId));
+  ASSERT_TRUE(writer.Write(record_rkey, meta.RecordOffset(slot), record).ok());
+  auto removed = node_b.SearchAll(probe, 3, 32);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_FALSE(Returns(removed.value().results[0], kId));
+}
+
+// --- The scan path: same answers however the work is split ----------------
+
+/// A corpus whose partitions straddle kAuto's threshold at the suite's ef
+/// (kAutoScanRowsPerEf x kEf rows), with one overflow
+/// insert and one tombstone resident, so the default mode both scans and
+/// walks, and scans fold overflow records and skip a deleted row.
+class ComputeNodeScanTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ds_ = new Dataset(MakeSynthetic({.dim = 8, .num_base = 7000, .num_queries = 48,
+                                     .num_clusters = 9, .seed = 65}));
+    DhnswConfig config = DhnswConfig::Defaults();
+    config.meta.num_representatives = 9;
+    config.sub_hnsw = HnswOptions{.M = 8, .ef_construction = 40};
+    config.layout.overflow_bytes_per_group = 8192;
+    auto engine = DhnswEngine::Build(ds_->base, config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = new DhnswEngine(std::move(engine).value());
+    // The insert lands next to query 0 and the tombstone deletes the base
+    // row nearest query 1, so both are among the answers that matter.
+    std::vector<float> near(ds_->queries[0].begin(), ds_->queries[0].end());
+    near[0] += 0.01f;
+    ASSERT_TRUE(engine_->Insert(near).ok());
+    uint32_t nearest = 0;
+    for (uint32_t i = 1; i < ds_->base.size(); ++i) {
+      if (L2Sq(ds_->base[i], ds_->queries[1]) < L2Sq(ds_->base[nearest], ds_->queries[1])) {
+        nearest = i;
+      }
+    }
+    ASSERT_TRUE(engine_->Remove(ds_->base[nearest], nearest).ok());
+    deleted_ = nearest;
+  }
+
+  static void TearDownTestSuite() {
+    delete engine_;
+    delete ds_;
+    engine_ = nullptr;
+    ds_ = nullptr;
+  }
+
+  static ComputeOptions Options(SubSearchMode mode, size_t threads, uint32_t depth) {
+    ComputeOptions options;
+    options.clusters_per_query = 3;
+    options.cache_capacity = 3;  // several waves per batch
+    options.search_threads = threads;
+    options.pipeline_depth = depth;
+    options.sub_search = mode;
+    return options;
+  }
+
+  /// The whole query set as one batch, or as one single-query call each.
+  static std::vector<std::vector<Scored>> Search(const ComputeOptions& options, bool batched) {
+    ComputeNode node(&engine_->fabric(), engine_->memory_handle(), options);
+    EXPECT_TRUE(node.Connect().ok());
+    if (batched) {
+      auto result = node.SearchAll(ds_->queries, 10, kEf);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      return result.ok() ? result.value().results : std::vector<std::vector<Scored>>{};
+    }
+    std::vector<std::vector<Scored>> out;
+    for (size_t i = 0; i < ds_->queries.size(); ++i) {
+      auto result = node.SearchBatch(ds_->queries, i, 1, 10, kEf);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) return {};
+      out.push_back(result.value().results[0]);
+    }
+    return out;
+  }
+
+  static void ExpectSame(const std::vector<std::vector<Scored>>& a,
+                         const std::vector<std::vector<Scored>>& b, const std::string& what) {
+    ASSERT_EQ(a.size(), ds_->queries.size()) << what;
+    ASSERT_EQ(b.size(), a.size()) << what;
+    for (size_t qi = 0; qi < a.size(); ++qi) {
+      ASSERT_EQ(a[qi].size(), b[qi].size()) << what << " query " << qi;
+      for (size_t j = 0; j < a[qi].size(); ++j) {
+        EXPECT_EQ(a[qi][j].id, b[qi][j].id) << what << " query " << qi << " rank " << j;
+        EXPECT_EQ(a[qi][j].distance, b[qi][j].distance) << what << " query " << qi;
+      }
+    }
+  }
+
+  static constexpr uint32_t kEf = 16;
+  static Dataset* ds_;
+  static DhnswEngine* engine_;
+  static uint32_t deleted_;
+};
+
+Dataset* ComputeNodeScanTest::ds_ = nullptr;
+DhnswEngine* ComputeNodeScanTest::engine_ = nullptr;
+uint32_t ComputeNodeScanTest::deleted_ = 0;
+
+TEST_F(ComputeNodeScanTest, BatchEqualsSingleQueryCallsAtEveryThreadCountAndDepth) {
+  // The fixture's premise: the default mode both scans and walks here.
+  const auto& sizes = engine_->partition_sizes();
+  const uint32_t threshold = kAutoScanRowsPerEf * kEf;
+  ASSERT_TRUE(std::any_of(sizes.begin(), sizes.end(),
+                          [threshold](uint32_t n) { return n <= threshold; }));
+  ASSERT_TRUE(std::any_of(sizes.begin(), sizes.end(),
+                          [threshold](uint32_t n) { return n > threshold; }));
+  ASSERT_EQ(ComputeOptions{}.sub_search, SubSearchMode::kAuto);
+
+  const uint32_t inserted = static_cast<uint32_t>(ds_->base.size());
+  for (SubSearchMode mode : {SubSearchMode::kAuto, SubSearchMode::kFlatScan}) {
+    const std::string name = mode == SubSearchMode::kAuto ? "auto" : "flat";
+    const auto want = Search(Options(mode, 1, 1), /*batched=*/false);
+    // Overflow records are scanned exactly in every mode: query 0 finds the
+    // insert next to it, and no query returns the deleted row.
+    ASSERT_EQ(want.size(), ds_->queries.size()) << name;
+    ASSERT_FALSE(want[0].empty()) << name;
+    EXPECT_EQ(want[0][0].id, inserted) << name;
+    for (const auto& found : want) EXPECT_FALSE(Returns(found, deleted_)) << name;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (uint32_t depth : {1u, 2u}) {
+        const std::string what = name + " threads=" + std::to_string(threads) +
+                                 " depth=" + std::to_string(depth);
+        ExpectSame(want, Search(Options(mode, threads, depth), true), what + " batch");
+        ExpectSame(want, Search(Options(mode, threads, depth), false), what + " single");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -66,9 +66,12 @@ TEST_F(IntegrationTest, RecallAtTenIsCompetitive) {
 }
 
 TEST_F(IntegrationTest, RecallGrowsWithEfSearch) {
+  // ef trades recall for time only in the sub-HNSW walk; the default mode
+  // scans this corpus's ~120-row partitions exactly, so pin the graph.
   double prev = -1.0;
   for (uint32_t ef : {1u, 8u, 48u}) {
     auto node = Attach(EngineMode::kFull);
+    node->mutable_options()->sub_search = SubSearchMode::kGraph;
     auto result = node->SearchAll(ds_->queries, 10, ef);
     ASSERT_TRUE(result.ok());
     const double recall = MeanRecallAtK(*ds_, result.value().results, 10);

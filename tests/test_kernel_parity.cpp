@@ -4,8 +4,8 @@
 //  - every tier in AvailableTiers() matches the scalar reference within
 //    4 ULPs, for every metric, across dims covering sub-vector tails,
 //    exact vector widths, unroll boundaries, and the paper's 128/960;
-//  - the gather and rows batched kernels are bit-identical to the same
-//    tier's pairwise kernel applied per element;
+//  - the gather, rows and tile batched kernels are bit-identical to the
+//    same tier's pairwise kernel applied per element;
 //  - the cosine zero-vector convention (distance exactly 1.0f) holds in
 //    every tier, including the batched forms.
 //
@@ -158,6 +158,40 @@ TEST(KernelParityTest, RowsIsBitIdenticalToPairWithinTier) {
   }
 }
 
+TEST(KernelParityTest, TileIsBitIdenticalToPairWithinTier) {
+  // Dims straddle every stripe width (8, 16, 32, 64 floats) and the tails;
+  // row counts cover the empty tile, one row and an odd count.
+  constexpr size_t kTileDims[] = {1, 7, 15, 16, 17, 63, 64, 65, 128, 129, 960};
+  constexpr size_t kRowCounts[] = {0, 1, 5, 64, 65};
+  Xoshiro256 rng(0x711eu);
+  for (size_t dim : kTileDims) {
+    std::vector<std::vector<float>> queries;
+    for (size_t i = 0; i < kTileQueries; ++i) queries.push_back(RandomVector(dim, rng));
+    const float* q[kTileQueries];
+    for (size_t i = 0; i < kTileQueries; ++i) q[i] = queries[i].data();
+    const std::vector<float> rows = RandomVector(65 * dim, rng);
+    std::vector<float> out(kTileQueries * 65);
+    for (SimdTier tier : AvailableTiers()) {
+      const KernelTable& table = KernelsForTier(tier);
+      for (Metric metric : kMetrics) {
+        for (size_t nq = 1; nq <= kTileQueries; ++nq) {
+          for (size_t n : kRowCounts) {
+            table.Tile(metric)(q, nq, rows.data(), dim, n, out.data());
+            for (size_t i = 0; i < nq; ++i) {
+              for (size_t j = 0; j < n; ++j) {
+                const float ref = table.Pair(metric)(q[i], rows.data() + j * dim, dim);
+                EXPECT_EQ(UlpDiff(ref, out[i * n + j]), 0)
+                    << Context(tier, metric, dim) << " nq=" << nq << " n=" << n
+                    << " query=" << i << " row=" << j;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelParityTest, CosineZeroVectorConventionHoldsInEveryTier) {
   for (size_t dim : kDims) {
     const std::vector<float> zero(dim, 0.0f);
@@ -181,6 +215,12 @@ TEST(KernelParityTest, CosineZeroVectorConventionHoldsInEveryTier) {
       t.cosine_rows(zero.data(), both.data(), dim, 2, out);
       EXPECT_EQ(out[0], 1.0f);
       EXPECT_EQ(out[1], 1.0f);
+      const float* tile_queries[2] = {zero.data(), unit.data()};
+      float tile_out[4];
+      t.cosine_tile(tile_queries, 2, both.data(), dim, 2, tile_out);
+      EXPECT_EQ(tile_out[0], 1.0f);  // zero query, zero row
+      EXPECT_EQ(tile_out[1], 1.0f);  // zero query, unit row
+      EXPECT_EQ(tile_out[2], 1.0f);  // unit query, zero row
     }
   }
 }

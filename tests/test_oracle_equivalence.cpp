@@ -7,8 +7,12 @@
 // This is the strongest end-to-end functional property of the system: it
 // pins the entire pipeline (meta routing, layout, RDMA loads, blob decode,
 // per-cluster search, cross-cluster merge) against a brute-force oracle.
+// It runs under the default sub-search mode (exact scans of small
+// partitions, graph walks of large ones) and under the paper's graph walk
+// everywhere.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "core/engine.h"
@@ -18,17 +22,29 @@
 namespace dhnsw {
 namespace {
 
-class OracleTest : public ::testing::TestWithParam<uint64_t> {};
+/// One oracle run: the corpus seed and the sub-search mode. The default
+/// mode prints as the bare seed, the graph walk as "<seed>/graph".
+struct OracleCase {
+  uint64_t seed;
+  SubSearchMode mode;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << c.seed << (c.mode == SubSearchMode::kGraph ? "/graph" : "");
+}
+
+class OracleTest : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(OracleTest, TopKEqualsExactSearchOverRoutedPartitions) {
   Dataset ds = MakeSynthetic({.dim = 12, .num_base = 2500, .num_queries = 30,
-                              .num_clusters = 10, .seed = GetParam()});
+                              .num_clusters = 10, .seed = GetParam().seed});
 
   DhnswConfig config = DhnswConfig::Defaults();
   config.meta.num_representatives = 25;
   config.sub_hnsw = HnswOptions{.M = 12, .ef_construction = 100};
   config.compute.clusters_per_query = 4;
   config.compute.cache_capacity = 8;
+  config.compute.sub_search = GetParam().mode;
   auto engine = DhnswEngine::Build(ds.base, config);
   ASSERT_TRUE(engine.ok());
   ComputeNode& node = engine.value().compute(0);
@@ -67,7 +83,13 @@ TEST_P(OracleTest, TopKEqualsExactSearchOverRoutedPartitions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, OracleTest, ::testing::Values(11, 22, 33));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, OracleTest,
+    ::testing::Values(OracleCase{11, ComputeOptions{}.sub_search},
+                      OracleCase{22, ComputeOptions{}.sub_search},
+                      OracleCase{33, ComputeOptions{}.sub_search},
+                      OracleCase{11, SubSearchMode::kGraph}, OracleCase{22, SubSearchMode::kGraph},
+                      OracleCase{33, SubSearchMode::kGraph}));
 
 TEST(OracleTest, HoldsAfterInsertsToo) {
   Dataset ds = MakeSynthetic({.dim = 8, .num_base = 1200, .num_queries = 15,

@@ -89,6 +89,7 @@ TEST(FlatSubSearchTest, MatchesGraphModeWithGenerousEf) {
   graph_config.meta.num_representatives = 12;
   graph_config.sub_hnsw = HnswOptions{.M = 8, .ef_construction = 60};
   graph_config.compute.clusters_per_query = 3;
+  graph_config.compute.sub_search = SubSearchMode::kGraph;
   DhnswConfig flat_config = graph_config;
   flat_config.compute.sub_search = SubSearchMode::kFlatScan;
 
