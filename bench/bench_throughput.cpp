@@ -3,6 +3,7 @@
 // load balancer shards each batch across instances; with independent QPs
 // and caches, throughput should scale near-linearly until the shards get so
 // small that per-batch fixed costs (metadata refresh, cold loads) dominate.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "common/timer.h"
 #include "core/client_router.h"
 #include "dataset/ground_truth.h"
+#include "telemetry/metrics.h"
 
 namespace {
 
@@ -65,12 +67,58 @@ PipelinePoint MeasurePipeline(dhnsw::DhnswEngine& engine, const dhnsw::Dataset& 
   return point;
 }
 
+// The batch-size axis: whether prefetching the next wave pays depends on how
+// much sub-search the current wave holds to hide the hand-off behind, so each
+// cell sweeps every query through a warm node in consecutive batches of one
+// size, at depth 1 and depth 2 alternately.
+struct SweepCell {
+  dhnsw::LatencyRecorder batch_us;   ///< every timed batch's wall latency
+  std::vector<double> sweep_qps;     ///< one per timed sweep
+  uint64_t batches = 0;
+  uint64_t waves = 0;
+  uint64_t items = 0;                ///< work items searched
+  uint64_t prefetched = 0;           ///< waves handed to the prefetch worker
+};
+
+void SweepOnce(dhnsw::ComputeNode& node, const dhnsw::Dataset& ds, size_t batch,
+               SweepCell* cell) {
+  dhnsw::telemetry::MetricRegistry& r = dhnsw::telemetry::DefaultRegistry();
+  const dhnsw::telemetry::Counter* waves = r.GetCounter("dhnsw_scheduler_waves_total");
+  const dhnsw::telemetry::Counter* prefetched =
+      r.GetCounter("dhnsw_compute_prefetch_waves_total");
+  const dhnsw::telemetry::ShardedCounter* items =
+      r.GetShardedCounter("dhnsw_compute_sub_searches_total");
+  const uint64_t waves0 = waves->value(), prefetched0 = prefetched->value();
+  const uint64_t items0 = items->value();
+  const size_t n = ds.queries.size();
+  dhnsw::WallTimer sweep_timer;
+  for (size_t begin = 0; begin < n; begin += batch) {
+    dhnsw::WallTimer timer;
+    auto result = node.SearchBatch(ds.queries, begin, std::min(batch, n - begin), 10, 32);
+    if (!result.ok()) {
+      std::fprintf(stderr, "batch axis failed: %s\n", result.status().ToString().c_str());
+      std::exit(1);
+    }
+    cell->batch_us.Add(timer.elapsed_us());
+    cell->batches += 1;
+  }
+  cell->sweep_qps.push_back(static_cast<double>(n) / (sweep_timer.elapsed_us() / 1e6));
+  cell->waves += waves->value() - waves0;
+  cell->prefetched += prefetched->value() - prefetched0;
+  cell->items += items->value() - items0;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dhnsw::bench;
-  // `--json=PATH` archives the pipeline grid; everything else goes to
-  // ParseFlags (which treats unknown keys as fatal).
+  // `--json=PATH` archives the pipeline grid and the batch-size axis;
+  // everything else goes to ParseFlags (which treats unknown keys as fatal).
   std::string json_path;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
@@ -177,6 +225,64 @@ int main(int argc, char** argv) {
       .Field("pipeline_speedup_d2_vs_d1_t4", pipeline_speedup)
       .Field("thread_speedup_t4_vs_t1_d1", thread_speedup)
       .Field("hardware_threads", static_cast<double>(cores));
+
+  // ---- Batch-size axis: where prefetching starts to pay ----
+  // Depth 2 prefetches wave w+1 only behind a wave of at least
+  // kPrefetchMinItems work items; this axis is where that constant comes
+  // from. Each (batch, threads) cell warms one node per depth with a full
+  // sweep, then alternates timed sweeps between them. Nodes run the default
+  // sub-search mode, as serving does.
+  constexpr int kSweepReps = 5;
+  std::printf("\n==== Batch-size axis (single instance, warm cache, %d sweeps of %zu "
+              "queries) ====\n",
+              kSweepReps, ds.queries.size());
+  std::printf("# kPrefetchMinItems = %zu\n", dhnsw::kPrefetchMinItems);
+  std::printf("\n%7s %8s %6s %12s %14s %12s %12s %10s\n", "batch", "threads", "depth",
+              "batch p50", "throughput", "items/wave", "prefetched", "d2/d1");
+  std::printf("%7s %8s %6s %12s %14s %12s %12s %10s\n", "", "", "", "(us)", "(queries/s)",
+              "", "waves/batch", "qps");
+  for (size_t batch : {1u, 4u, 16u, 64u, 256u, 2000u}) {
+    for (size_t threads : kThreads) {
+      std::unique_ptr<dhnsw::ComputeNode> nodes[2];
+      SweepCell warm[2], cells[2];
+      for (uint32_t d = 0; d < 2; ++d) {
+        nodes[d] = AttachComputeNode(engine, config, dhnsw::EngineMode::kFull);
+        dhnsw::ComputeOptions* opts = nodes[d]->mutable_options();
+        opts->sub_search = dhnsw::ComputeOptions{}.sub_search;
+        opts->pipeline_depth = d + 1;
+        opts->search_threads = threads;
+        SweepOnce(*nodes[d], ds, batch, &warm[d]);
+      }
+      for (int rep = 0; rep < kSweepReps; ++rep) {
+        for (uint32_t d = 0; d < 2; ++d) SweepOnce(*nodes[d], ds, batch, &cells[d]);
+      }
+      const double ratio = Median(cells[1].sweep_qps) / Median(cells[0].sweep_qps);
+      for (uint32_t d = 0; d < 2; ++d) {
+        const SweepCell& c = cells[d];
+        const double items_per_wave =
+            c.waves == 0 ? 0.0 : static_cast<double>(c.items) / static_cast<double>(c.waves);
+        const double prefetched_per_batch =
+            static_cast<double>(c.prefetched) / static_cast<double>(c.batches);
+        std::printf("%7zu %8zu %6u %12.1f %14.0f %12.1f %12.2f", batch, threads, d + 1,
+                    c.batch_us.p50(), Median(c.sweep_qps), items_per_wave,
+                    prefetched_per_batch);
+        if (d == 1) std::printf(" %10.3f", ratio);
+        std::printf("\n");
+        LabelNic(json.Row("pipeline_batch_axis"), engine)
+            .Label("batch_queries", std::to_string(batch))
+            .Label("search_threads", std::to_string(threads))
+            .Label("pipeline_depth", std::to_string(d + 1))
+            .Field("batch_p50_us", c.batch_us.p50())
+            .Field("throughput_qps", Median(c.sweep_qps))
+            .Field("items_per_wave", items_per_wave)
+            .Field("prefetched_waves_per_batch", prefetched_per_batch)
+            .Field("prefetch_min_items", static_cast<double>(dhnsw::kPrefetchMinItems));
+      }
+    }
+  }
+  std::printf("\n# d2/d1 = median sweep throughput at depth 2 over depth 1. A batch\n"
+              "# whose waves all hold fewer than kPrefetchMinItems items runs the\n"
+              "# same rounds inline at both depths.\n");
   if (!json_path.empty() && !json.WriteFile(json_path)) return 1;
   return 0;
 }

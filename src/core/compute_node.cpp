@@ -591,7 +591,7 @@ ThreadPool* ComputeNode::PrefetchPool() {
 }
 
 std::unique_ptr<ComputeNode::LoadRound> ComputeNode::IssueWaveLoads(const LoadWave& wave,
-                                                                    bool pipelined) {
+                                                                    bool prefetch) {
   // Every cluster in `to_load` missed the cache at plan time, and before
   // this wave loads only the batch's other waves do, which hold other
   // clusters: each one is still a miss.
@@ -599,9 +599,9 @@ std::unique_ptr<ComputeNode::LoadRound> ComputeNode::IssueWaveLoads(const LoadWa
     trace_ctx_.Event("cache.miss", telemetry::TraceEvent::kNoQuery, cluster);
   }
   Compute().cache_miss_clusters->Add(wave.to_load.size());
-  if (!pipelined || wave.to_load.empty()) return nullptr;
+  if (!prefetch || wave.to_load.empty()) return nullptr;
 
-  // Pipelined path: post this wave's READs NOW and hand the round to the
+  // Prefetch: post this wave's READs NOW and hand the round to the
   // prefetch worker; they drain (data movement + fault evaluation + parse)
   // while the previous wave's sub-searches run. All sim-clock/stats
   // accounting waits for the reap, so the fabric-visible op sequence — and
@@ -785,9 +785,11 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
   batch->heaps.reserve(batch->count);
   for (size_t i = 0; i < batch->count; ++i) batch->heaps.emplace_back(batch->k);
 
-  // Pipelined wave execution: with pipeline_depth >= 2, each wave's first
-  // load round is posted before the previous wave's sub-searches start, and
-  // executes + parses on the prefetch worker while those searches run. The
+  // Pipelined wave execution: with pipeline_depth >= 2, wave w+1's first
+  // load round is posted before wave w's sub-searches start, and executes +
+  // parses on the prefetch worker while they run, but only behind a wave of
+  // at least kPrefetchMinItems items; a smaller wave could not hide the
+  // hand-off. Wave 0 has nothing before it and always loads inline. The
   // reap keeps all fabric accounting on this thread in an inline round's
   // exact order, so results, statuses, the cache, and the simulated
   // timeline are bit-identical either way.
@@ -796,6 +798,7 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
   // The next wave's prefetched round. A failing batch must not leave it on
   // the QP: the next batch would inherit its WRs and completions.
   std::unique_ptr<LoadRound> prefetched;
+  bool issued_ahead = false;  // the current wave's misses went out with the previous wave
   struct PrefetchDrain {
     ComputeNode* node;
     std::unique_ptr<LoadRound>* round;
@@ -805,15 +808,15 @@ Status ComputeNode::RunWaves(const BatchPlan& plan, BatchState* batch) {
   for (size_t wv = 0; wv < plan.waves.size(); ++wv) {
     const LoadWave& wave = plan.waves[wv];
     std::unique_ptr<LoadRound> first_round =
-        pipelined && wv > 0 ? std::move(prefetched) : IssueWaveLoads(wave, pipelined);
+        issued_ahead ? std::move(prefetched) : IssueWaveLoads(wave, false);
     FreshLoads fresh;
     std::vector<FailedLoad> failures;
     DHNSW_RETURN_IF_ERROR(LoadStage(wave, std::move(first_round), &fresh, &failures, batch));
     // One wave ahead (double-buffered): the next wave's misses post now and
     // drain on the prefetch worker while this wave's sub-searches run.
-    if (pipelined && wv + 1 < plan.waves.size()) {
-      prefetched = IssueWaveLoads(plan.waves[wv + 1], true);
-    }
+    issued_ahead =
+        pipelined && wv + 1 < plan.waves.size() && wave.work.size() >= kPrefetchMinItems;
+    if (issued_ahead) prefetched = IssueWaveLoads(plan.waves[wv + 1], true);
     DHNSW_RETURN_IF_ERROR(SubStage(wave, failures, batch));
   }
   return Status::Ok();

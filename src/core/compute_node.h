@@ -62,6 +62,17 @@ enum class SubSearchMode : uint8_t {
 /// and the call's ef, so a query's answer never depends on its batch.
 inline constexpr uint32_t kAutoScanRowsPerEf = 24;
 
+/// The prefetch rule's threshold (DESIGN.md §10): at pipeline_depth >= 2,
+/// wave w+1's first load round goes to the prefetch worker only when wave w
+/// has at least this many work items to search meanwhile; behind a smaller
+/// wave, and for wave 0, the round runs inline. `bench_throughput`'s
+/// batch-size axis (EXPERIMENTS.md, "Prefetch crossover") swept warm-cache
+/// batches on a 4-vCPU AVX-512 Xeon with every wave but wave 0 prefetched,
+/// 3 runs x {1, 4} threads: depth 2 lost to depth 1 in all 12 cells at 1
+/// and 4 queries per batch (2.5 and 4.6 items per wave), won 2 of 6 at 16
+/// (9.8 items per wave), and won 6 of 6 at 64 (26.6 items per wave).
+inline constexpr size_t kPrefetchMinItems = 16;
+
 struct ComputeOptions {
   EngineMode mode = EngineMode::kFull;
   uint32_t clusters_per_query = 2;  ///< b: sub-HNSWs searched per query
@@ -73,15 +84,19 @@ struct ComputeOptions {
   /// threads. 1 runs both inline on the caller and never starts the pool.
   size_t search_threads = 1;
   /// Pipelined wave execution (DESIGN.md §10): 0/1 runs waves sequentially
-  /// (load wave N, then search it — the seed behaviour); >= 2 double-buffers
-  /// the executor — while wave N's sub-searches run, wave N+1's deduped
-  /// cluster READs are already posted and draining on the async QP path, and
-  /// are reaped when wave N finishes. The implementation keeps exactly one
-  /// wave in flight ahead (deeper depths are clamped to that). Results,
-  /// per-query statuses, cache contents, retry/fencing semantics, and the
-  /// simulated timeline are bit-identical to the sequential path
-  /// (tests/test_pipeline.cpp); only wall-clock time changes. kNaive mode
-  /// has no wave structure to overlap and ignores it.
+  /// (load wave N, then search it — the seed behaviour) and prefetches
+  /// nothing; >= 2 double-buffers the executor behind every wave of at
+  /// least kPrefetchMinItems work items — while that wave's sub-searches
+  /// run, the next wave's deduped cluster READs are already posted and
+  /// draining on the prefetch worker, and are reaped when the wave
+  /// finishes. Wave 0, and a wave behind a smaller one, loads inline at its
+  /// own turn, so a batch of small waves (every single-query op) runs
+  /// exactly as at depth 1 and never starts the prefetch worker. The
+  /// implementation keeps exactly one wave in flight ahead (deeper depths
+  /// are clamped to that). Results, per-query statuses, cache contents,
+  /// retry/fencing semantics, and the simulated timeline are bit-identical
+  /// to the sequential path (tests/test_pipeline.cpp); only wall-clock time
+  /// changes. kNaive mode has no wave structure to overlap and ignores it.
   uint32_t pipeline_depth = 2;
   /// Graph search (the paper), exact per-cluster scan (IVF-style ablation),
   /// or the per-cluster choice by row count.
@@ -117,8 +132,10 @@ struct BatchBreakdown {
   uint64_t failovers = 0;        ///< replica failovers this batch triggered
   /// Wall ns of prefetch work (wave N+1 READ draining + decode) that ran
   /// concurrently with wave N's sub-searches instead of stalling the batch —
-  /// the observable win of pipeline_depth >= 2. Wall-clock derived: it never
-  /// feeds spans or the simulated timeline, which stay deterministic.
+  /// the observable win of pipeline_depth >= 2. Zero for a batch that
+  /// prefetched nothing: at depth 1, or when no wave but the last reached
+  /// kPrefetchMinItems items. Wall-clock derived: it never feeds spans or
+  /// the simulated timeline, which stay deterministic.
   uint64_t pipeline_overlap_ns = 0;
   size_t num_queries = 0;
 
@@ -381,11 +398,13 @@ class ComputeNode {
   Status FinalizeLoads(LoadRoundState* state, const FreshLoads& out,
                        BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
 
-  /// Records a wave's cache misses and, on the pipelined path, posts its
-  /// first load round and hands it to the prefetch worker under a
-  /// "stage.prefetch" span. Returns that round, or null when nothing was
-  /// posted.
-  std::unique_ptr<LoadRound> IssueWaveLoads(const LoadWave& wave, bool pipelined);
+  /// Records a wave's "cache.miss" events. With `prefetch` (RunWaves sets
+  /// it only for the wave after one of at least kPrefetchMinItems items, at
+  /// depth >= 2) it also posts the wave's first load round and hands it to
+  /// the prefetch worker under a "stage.prefetch" span. Returns that round,
+  /// or null when nothing was posted: the wave's LoadStage then posts and
+  /// executes the round inline.
+  std::unique_ptr<LoadRound> IssueWaveLoads(const LoadWave& wave, bool prefetch);
 
   /// Persistent worker pools (lazily built; the search pool is rebuilt when
   /// options_.search_threads changes). Constructing a ThreadPool per wave
@@ -436,7 +455,8 @@ class ComputeNode {
   /// stage.plan: dedups the routes into cache-bounded load waves (§3.3).
   BatchPlan PlanStage(BatchState* batch);
   /// The waves: each loads (stage.load) and then searches (stage.sub) its
-  /// work, with the next wave's READs prefetched when pipelined.
+  /// work; at depth >= 2 a wave of at least kPrefetchMinItems items first
+  /// hands the next wave's READs to the prefetch worker.
   Status RunWaves(const BatchPlan& plan, BatchState* batch);
   /// stage.load: makes the wave's clusters resident, degrades the queries of
   /// clusters that failed for good, and builds the wave's resident map.
@@ -566,7 +586,9 @@ class ComputeNode {
   std::vector<size_t> query_starts_;
   std::vector<uint64_t> item_wall_;
   std::unique_ptr<ThreadPool> search_pool_;
-  std::unique_ptr<ThreadPool> prefetch_pool_;  ///< 1 thread: drains + decodes prefetches
+  /// 1 thread: drains + decodes prefetches. Built at the first prefetch, so
+  /// a node that only runs waves below kPrefetchMinItems never starts it.
+  std::unique_ptr<ThreadPool> prefetch_pool_;
 
   telemetry::TraceBuffer trace_buffer_;
   /// Stamps spans with clock_; qp_ holds a pointer to it, so the batch id set

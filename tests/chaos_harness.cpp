@@ -23,7 +23,7 @@ DhnswConfig MakeConfig(const ChaosHarness::Config& c) {
   config.meta.num_representatives = c.num_clusters;  // one partition per rep
   config.compute.mode = c.mode;
   config.compute.clusters_per_query = c.clusters_per_query;
-  config.compute.cache_capacity = c.num_clusters;  // one cold load per cluster
+  config.compute.cache_capacity = c.cache_capacity == 0 ? c.num_clusters : c.cache_capacity;
   config.replication.factor = c.replication_factor;
   config.num_compute_nodes = c.num_compute_nodes;
   config.num_memory_nodes = c.num_memory_nodes;
@@ -128,15 +128,18 @@ rdma::FaultPlan ChaosHarness::MakePermanentPlan(uint32_t* victim) {
   const uint32_t target = static_cast<uint32_t>(
       std::max_element(hits.begin(), hits.end()) - hits.begin());
   if (victim != nullptr) *victim = target;
+  return MakeOutagePlan(target);
+}
 
-  const ClusterMeta& meta = engine_->memory_node()->plan().entries[target];
+rdma::FaultPlan ChaosHarness::MakeOutagePlan(uint32_t cluster) const {
+  const ClusterMeta& meta = engine_->memory_node()->plan().entries[cluster];
   rdma::FaultRule rule;
   rule.kind = rdma::FaultKind::kUnreachable;
   rule.opcode = rdma::Opcode::kRead;
   rule.offset_lo = meta.blob_offset;
   rule.offset_hi = meta.blob_offset + meta.blob_size;
   // max_triggers stays UINT64_MAX: permanent outage.
-  return rdma::FaultPlan(target).Add(rule);
+  return rdma::FaultPlan(cluster).Add(rule);
 }
 
 rdma::FaultPlan ChaosHarness::MakeKillPrimaryPlan(uint64_t skip_first, uint32_t slot) const {

@@ -34,6 +34,10 @@ class ChaosHarness {
     uint32_t num_clusters = 6;
     EngineMode mode = EngineMode::kFull;
     uint32_t clusters_per_query = 3;
+    /// Clusters the compute cache holds; 0 means num_clusters, so a cold
+    /// batch loads every cluster once in a single miss wave. A smaller
+    /// cache splits the batch's misses over several waves.
+    uint32_t cache_capacity = 0;
     size_t k = 5;
     uint32_t ef_search = 300;  ///< generous: sub-searches near-exhaustive
     /// Memory-pool replication factor (1 = single copy, replication off).
@@ -74,8 +78,11 @@ class ChaosHarness {
 
   /// Permanent outage of one cluster's byte range on the primary shard: its
   /// loads fail forever, but the metadata table and every other cluster stay
-  /// reachable. Returns the victim cluster id via `victim`.
+  /// reachable. The victim is the cluster the most queries route to; it is
+  /// returned via `victim`.
   rdma::FaultPlan MakePermanentPlan(uint32_t* victim);
+  /// The same outage for a chosen `cluster`.
+  rdma::FaultPlan MakeOutagePlan(uint32_t cluster) const;
 
   /// Kills `slot`'s CURRENT primary memory node mid-batch: after letting
   /// `skip_first` matching ops through (per queue pair), every access to the
