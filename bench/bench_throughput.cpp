@@ -14,7 +14,6 @@
 #include "bench_common.h"
 #include "common/stats.h"
 #include "common/timer.h"
-#include "core/client_router.h"
 #include "dataset/ground_truth.h"
 #include "telemetry/metrics.h"
 
@@ -140,27 +139,30 @@ int main(int argc, char** argv) {
               "throughput", "recall", "shard p50", "shard max");
   std::printf("%10s %16s %16s %14s %14s %14s\n", "", "(us)", "(queries/s)", "@10",
               "(us)", "(us)");
+  const size_t n = ds.queries.size();
   for (size_t instances : {1u, 2u, 4u, 8u, 16u}) {
-    // A fresh pool per point (cold caches), all attached to the same region.
-    std::vector<std::unique_ptr<dhnsw::ComputeNode>> nodes;
-    std::vector<dhnsw::ComputeNode*> pool;
-    for (size_t i = 0; i < instances; ++i) {
-      nodes.push_back(AttachComputeNode(engine, config, dhnsw::EngineMode::kFull));
-      pool.push_back(nodes.back().get());
-    }
-    dhnsw::ClientRouter router(pool);
-    auto result = router.SearchBatch(ds.queries, 10, 32);
-    if (!result.ok()) {
-      std::fprintf(stderr, "router failed: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    // Per-shard latency distribution: each shard records into its own
-    // recorder/stat (in a real pool each instance aggregates locally), then
-    // the shards are Merge()d into a pool-wide view — no re-sort of the
+    // The batch splits into one contiguous shard per instance. Each shard
+    // runs alone on its own fresh node (cold cache), one after another, so
+    // it has the host to itself as an instance has its own cores, and the
+    // batch takes as long as its slowest shard. Each shard records into its
+    // own recorder/stat (in a real pool each instance aggregates locally),
+    // then the shards are Merge()d into a pool-wide view — no re-sort of the
     // combined samples, no double-counting of Welford terms.
+    std::vector<std::vector<dhnsw::Scored>> results(n);
     dhnsw::LatencyRecorder pool_latency;
     dhnsw::RunningStat pool_stat;
-    for (const dhnsw::BatchBreakdown& b : result.value().per_instance) {
+    for (size_t s = 0; s < instances; ++s) {
+      const size_t begin = s * n / instances;
+      const size_t count = (s + 1) * n / instances - begin;
+      auto node = AttachComputeNode(engine, config, dhnsw::EngineMode::kFull);
+      auto shard = node->SearchBatch(ds.queries, begin, count, 10, 32);
+      if (!shard.ok()) {
+        std::fprintf(stderr, "shard failed: %s\n", shard.status().ToString().c_str());
+        return 1;
+      }
+      std::move(shard.value().results.begin(), shard.value().results.end(),
+                results.begin() + static_cast<std::ptrdiff_t>(begin));
+      const dhnsw::BatchBreakdown& b = shard.value().breakdown;
       dhnsw::LatencyRecorder shard_latency;
       dhnsw::RunningStat shard_stat;
       const double shard_us = b.network_us + b.meta_us + b.sub_us + b.deserialize_us;
@@ -169,10 +171,12 @@ int main(int argc, char** argv) {
       pool_latency.Merge(shard_latency);
       pool_stat.Merge(shard_stat);
     }
-    double recall = dhnsw::MeanRecallAtK(ds, result.value().results, 10);
-    std::printf("%10zu %16.1f %16.0f %14.4f %14.1f %14.1f\n", instances,
-                result.value().batch_latency_us, result.value().throughput_qps, recall,
-                pool_latency.p50(), pool_stat.max());
+    const double batch_latency_us = pool_stat.max();
+    const double throughput =
+        batch_latency_us > 0.0 ? static_cast<double>(n) / (batch_latency_us / 1e6) : 0.0;
+    double recall = dhnsw::MeanRecallAtK(ds, results, 10);
+    std::printf("%10zu %16.1f %16.0f %14.4f %14.1f %14.1f\n", instances, batch_latency_us,
+                throughput, recall, pool_latency.p50(), pool_stat.max());
   }
   std::printf("\n# latency = slowest shard; throughput = batch size / latency.\n");
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <latch>
 #include <string>
 #include <tuple>
 
@@ -17,6 +18,18 @@ namespace {
 constexpr uint32_t kMaxTenantInstruments = 16;
 
 }  // namespace
+
+struct ComputePool::ShardCall {
+  /// Shard s covers queries [Begin(s), Begin(s + 1)).
+  size_t Begin(size_t s) const { return s * queries.size() / shards; }
+
+  const VectorSet& queries;
+  size_t k;
+  uint32_t ef_search;
+  size_t shards;
+  std::vector<Result<BatchResult>> results;  ///< one per shard, set by its lane
+  std::latch done;                           ///< counts shards still to run
+};
 
 uint32_t PickLeastLoaded(std::span<const size_t> outstanding,
                          std::span<const std::vector<uint32_t>> recent,
@@ -213,6 +226,23 @@ void ComputePool::ExecuteOp(Lane* lane, const QueuedOp& item) {
   }
 }
 
+void ComputePool::RunShard(Lane* lane, const QueuedOp& item) {
+  ShardCall& call = *item.shard;
+  const size_t begin = call.Begin(item.index);
+  const size_t count = call.Begin(item.index + 1) - begin;
+  Result<BatchResult> run =
+      lane->node->SearchBatch(call.queries, begin, count, call.k, call.ef_search);
+  if (!run.ok() && lane->node->options().partial_results) {
+    // The node could not serve its shard at all: each of the shard's
+    // queries degrades to an empty result carrying the error.
+    BatchResult degraded;
+    degraded.results.resize(count);
+    degraded.statuses.assign(count, run.status());
+    run = std::move(degraded);
+  }
+  call.results[item.index] = std::move(run);
+}
+
 void ComputePool::WorkerLoop(Lane* lane) {
   for (;;) {
     QueuedOp item;
@@ -227,6 +257,12 @@ void ComputePool::WorkerLoop(Lane* lane) {
     }
     lane->cv_room.notify_one();
 
+    if (item.shard != nullptr) {
+      RunShard(lane, item);
+      lane->outstanding.fetch_sub(1, std::memory_order_relaxed);
+      item.shard->done.count_down();  // the caller may free the call now
+      continue;
+    }
     ExecuteOp(lane, item);
     lane->outstanding.fetch_sub(1, std::memory_order_relaxed);
 
@@ -405,19 +441,39 @@ PoolRunStats ComputePool::Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
   return stats;
 }
 
-Result<RouterResult> ComputePool::SearchSharded(const VectorSet& queries, size_t k,
-                                                uint32_t ef_search,
-                                                const RouterOptions& router_options) {
-  std::vector<ComputeNode*> nodes;
-  std::vector<uint64_t> outstanding;
-  nodes.reserve(lanes_.size());
-  outstanding.reserve(lanes_.size());
-  for (auto& lane : lanes_) {
-    nodes.push_back(lane->node);
-    outstanding.push_back(lane->outstanding.load(std::memory_order_relaxed));
+Result<ShardedResult> ComputePool::SearchSharded(const VectorSet& queries, size_t k,
+                                                 uint32_t ef_search) {
+  const size_t n = queries.size();
+  const size_t shards = std::min(lanes_.size(), n);
+  ShardCall call{queries, k, ef_search, shards,
+                 std::vector<Result<BatchResult>>(shards, Status::Internal("shard never ran")),
+                 std::latch(static_cast<std::ptrdiff_t>(shards))};
+  for (size_t s = 0; s < call.shards; ++s) {
+    Lane* lane = lanes_[s].get();
+    {
+      std::lock_guard<std::mutex> lock(lane->mutex);
+      lane->outstanding.fetch_add(1, std::memory_order_relaxed);
+      lane->queue.push_back(QueuedOp{nullptr, s, {}, {}, &call});
+      lane->depth.store(lane->queue.size(), std::memory_order_relaxed);
+      lane->depth_gauge->Set(static_cast<int64_t>(lane->queue.size()));
+    }
+    lane->cv_nonempty.notify_one();
   }
-  ClientRouter router(std::move(nodes), RouterExecution::kConcurrent);
-  return router.SearchBatchWeighted(queries, k, ef_search, outstanding, router_options);
+  call.done.wait();
+
+  ShardedResult out;
+  out.results.resize(n);
+  out.statuses.resize(n);
+  out.per_node.resize(lanes_.size());
+  for (size_t s = 0; s < call.shards; ++s) {
+    if (!call.results[s].ok()) return call.results[s].status();
+    BatchResult& shard = call.results[s].value();
+    const auto begin = static_cast<std::ptrdiff_t>(call.Begin(s));
+    std::move(shard.results.begin(), shard.results.end(), out.results.begin() + begin);
+    std::move(shard.statuses.begin(), shard.statuses.end(), out.statuses.begin() + begin);
+    out.per_node[s] = shard.breakdown;
+  }
+  return out;
 }
 
 }  // namespace dhnsw

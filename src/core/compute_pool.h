@@ -2,11 +2,12 @@
 // behind a front-end dispatcher with admission control (DESIGN.md §12).
 //
 // The paper's deployment is "multiple CPU instances sharing one memory pool"
-// behind a client load balancer; ClientRouter models the batch-sharding half
-// of that, and this class models the other half — a live pool where every
-// node has its own worker thread, a bounded FIFO queue, and an independent
-// op stream, so cache interference, overflow-FAA contention, and failover
-// under traffic actually happen concurrently.
+// behind a client load balancer. This class is that pool: every node has its
+// own worker thread, a bounded FIFO queue, and an independent op stream, so
+// cache interference, overflow-FAA contention, and failover under traffic
+// actually happen concurrently. Both front ends feed the same lanes: Run's
+// dispatcher places single-query ops, and SearchSharded queues one shard of a
+// batch per lane. A node is only ever driven by its own lane's worker.
 //
 // Two run modes:
 //   - kDrain: the dispatcher blocks when a queue is full (backpressure) and
@@ -44,7 +45,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/topk.h"
-#include "core/client_router.h"
 #include "core/compute_node.h"
 #include "core/workload_gen.h"
 #include "telemetry/trace.h"
@@ -116,6 +116,17 @@ struct OpOutcome {
   uint64_t total_wall_ns = 0;      ///< admission -> completion (sojourn)
 };
 
+/// SearchSharded's answer, merged back into request order.
+struct ShardedResult {
+  /// results[i] = top-k for queries[i].
+  std::vector<std::vector<Scored>> results;
+  /// statuses[i]: OK, or why query i's results are partial or empty.
+  std::vector<Status> statuses;
+  /// Index-aligned with the pool: the breakdown of the shard each node ran,
+  /// default-constructed for a node that ran none or whose shard degraded.
+  std::vector<BatchBreakdown> per_node;
+};
+
 struct PoolRunStats {
   uint64_t submitted = 0;
   uint64_t admitted = 0;
@@ -167,14 +178,17 @@ class ComputePool {
   PoolRunStats Run(std::span<const WorkloadOp> ops, PoolRunMode mode,
                    std::vector<OpOutcome>* outcomes = nullptr);
 
-  /// Front-end batch search: shards `queries` over the pool via
-  /// ClientRouter::SearchBatchWeighted, weighting shards inversely to each
-  /// node's outstanding ops (queued plus in service) so a backed-up node
-  /// gets less synchronous work. With idle lanes this degenerates to the
-  /// even split.
-  Result<RouterResult> SearchSharded(const VectorSet& queries, size_t k,
-                                     uint32_t ef_search,
-                                     const RouterOptions& router_options = {});
+  /// Front-end batch search: splits `queries` into at most size() contiguous
+  /// shards of balanced size, queues shard i as one batch item on lane i
+  /// (FIFO behind that lane's ops, even on a full lane), and blocks until
+  /// every shard has run. The lane's worker runs it as one SearchBatch, so a
+  /// call may overlap a Run and other SearchSharded calls. Shards stay
+  /// outside Run's accounting: no OpOutcome, no completion or tenant count.
+  /// A shard whose node fails it outright fails the call, unless that node
+  /// has ComputeOptions::partial_results: then its queries come back empty,
+  /// each carrying the error.
+  Result<ShardedResult> SearchSharded(const VectorSet& queries, size_t k,
+                                      uint32_t ef_search);
 
   /// Live queue depth of node `i` (racy snapshot; exact once quiescent).
   size_t queue_depth(size_t i) const noexcept {
@@ -192,11 +206,16 @@ class ComputePool {
   const telemetry::TraceBuffer& lane_trace(size_t i) const { return lanes_[i]->trace; }
 
  private:
+  /// One SearchSharded call: its shard items point here, and the caller
+  /// waits until each has stored its result.
+  struct ShardCall;
+
   struct QueuedOp {
-    const WorkloadOp* op = nullptr;
-    size_t index = 0;
+    const WorkloadOp* op = nullptr;  ///< null for a shard item
+    size_t index = 0;                ///< op index in the run, or shard index
     std::chrono::steady_clock::time_point admitted;
     std::vector<uint32_t> routes;  ///< routed at dispatch; empty = lane routes
+    ShardCall* shard = nullptr;    ///< set for a SearchSharded shard
   };
 
   /// One node's worker lane. Queue state is mutex-protected; the stats block
@@ -226,6 +245,7 @@ class ComputePool {
 
   void WorkerLoop(Lane* lane);
   void ExecuteOp(Lane* lane, const QueuedOp& item);
+  void RunShard(Lane* lane, const QueuedOp& item);
   uint32_t PickNode(std::span<const uint32_t> routes);
 
   std::vector<std::unique_ptr<Lane>> lanes_;

@@ -131,17 +131,6 @@ Result<DhnswEngine> DhnswEngine::BuildFromSnapshot(const std::string& path,
   return engine;
 }
 
-Result<RouterResult> DhnswEngine::SearchSharded(const VectorSet& queries, size_t k,
-                                                uint32_t ef_search,
-                                                const RouterOptions& router_options) {
-  std::vector<ComputeNode*> pool;
-  pool.reserve(computes_.size());
-  for (auto& node : computes_) pool.push_back(node.get());
-  ClientRouter router(std::move(pool));
-  if (router_trace_.enabled()) router.set_trace(&router_trace_);
-  return router.SearchBatch(queries, k, ef_search, router_options);
-}
-
 Result<uint32_t> DhnswEngine::Insert(std::span<const float> v, size_t via_instance) {
   if (via_instance >= computes_.size()) {
     return Status::InvalidArgument("Insert: bad compute instance");
@@ -217,13 +206,11 @@ Status DhnswEngine::SaveSnapshot(const std::string& path) const {
 void DhnswEngine::EnableTracing(size_t capacity_per_instance) {
   for (auto& node : computes_) node->EnableTracing(capacity_per_instance);
   if (replication_ != nullptr) replication_->EnableTracing(capacity_per_instance);
-  router_trace_.Reserve(capacity_per_instance);
 }
 
 void DhnswEngine::ClearTraces() {
   for (auto& node : computes_) node->ClearTrace();
   if (replication_ != nullptr) replication_->ClearTrace();
-  router_trace_.Clear();
 }
 
 void DhnswEngine::PublishTopologyMetrics() const {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/client_router.h"
 #include "core/compactor.h"
 #include "core/compute_node.h"
 #include "core/memory_node.h"
@@ -83,8 +82,9 @@ class DhnswEngine {
 
   size_t num_compute_nodes() const noexcept { return computes_.size(); }
   ComputeNode& compute(size_t i = 0) { return *computes_[i]; }
-  /// Raw pointers to every compute instance, pool order — the constructor
-  /// form ClientRouter and ComputePool take. Never null entries.
+  /// Raw pointers to every compute instance, pool order — the form the
+  /// ComputePool constructor takes; a pool over them serves sharded batches
+  /// (ComputePool::SearchSharded). Never null entries.
   std::vector<ComputeNode*> compute_nodes() {
     std::vector<ComputeNode*> nodes;
     nodes.reserve(computes_.size());
@@ -111,12 +111,6 @@ class DhnswEngine {
   Result<BatchResult> SearchAll(const VectorSet& queries, size_t k, uint32_t ef_search) {
     return compute(0).SearchAll(queries, k, ef_search);
   }
-
-  /// Load-balanced batched search across the whole compute pool. Pass
-  /// RouterOptions{.allow_partial = true} to degrade failed shards to
-  /// empty per-query results instead of failing the request.
-  Result<RouterResult> SearchSharded(const VectorSet& queries, size_t k, uint32_t ef_search,
-                                     const RouterOptions& router_options = {});
 
   /// Inserts a new vector; assigns and returns its global id.
   /// Routed + written by compute instance `via_instance`.
@@ -163,10 +157,10 @@ class DhnswEngine {
   std::string DebugString() const;
 
   /// --- telemetry (see DESIGN.md "Telemetry subsystem") ---
-  /// Enables per-query tracing: every compute instance gets a bounded buffer
-  /// of `capacity_per_instance` events (preallocated now, so steady-state
-  /// spans never allocate), and SearchSharded records router-level spans
-  /// into a separate router buffer of the same capacity. 0 disables.
+  /// Enables per-query tracing: every compute instance, and the replica
+  /// manager when replication is on, gets a bounded buffer of
+  /// `capacity_per_instance` events (preallocated now, so steady-state spans
+  /// never allocate). 0 disables.
   void EnableTracing(size_t capacity_per_instance);
   /// Forgets recorded events on every buffer; keeps reservations.
   void ClearTraces();
@@ -174,7 +168,6 @@ class DhnswEngine {
   const telemetry::TraceBuffer& trace(size_t instance = 0) const {
     return computes_[instance]->trace();
   }
-  const telemetry::TraceBuffer& router_trace() const noexcept { return router_trace_; }
 
   /// Publishes the engine topology (dhnsw_engine_* gauges) into the process
   /// registry, then returns a point-in-time snapshot of every instrument.
@@ -204,7 +197,6 @@ class DhnswEngine {
   uint32_t next_global_id_ = 0;
   uint64_t meta_blob_bytes_ = 0;
   std::vector<uint32_t> partition_sizes_;
-  telemetry::TraceBuffer router_trace_;
 };
 
 }  // namespace dhnsw

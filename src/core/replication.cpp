@@ -214,8 +214,9 @@ void ReplicaManager::FailoverLocked(uint32_t slot) {
   }
   if (next == s.primary) {
     // Every replica of the slot is dead. Leave the primary pointing at the
-    // revoked region: accesses fail fenced -> Unavailable, and the router's
-    // allow_partial policy decides whether the query degrades or errors.
+    // revoked region: accesses fail fenced -> Unavailable, and the compute
+    // node's partial_results option decides whether the affected queries
+    // degrade or the batch errors.
     return;
   }
   s.primary = next;

@@ -12,9 +12,9 @@
 
 #include "common/status.h"        // Status, Result<T>
 #include "common/topk.h"          // Scored, TopKHeap
-#include "core/client_router.h"   // ClientRouter, RouterResult
 #include "core/compactor.h"       // Compactor, CompactionStats
 #include "core/compute_node.h"    // ComputeNode, ComputeOptions, BatchResult
+#include "core/compute_pool.h"    // ComputePool, SearchSharded, ShardedResult
 #include "core/engine.h"          // DhnswEngine, DhnswConfig
 #include "core/memory_node.h"     // MemoryNode, MemoryNodeHandle
 #include "core/meta_hnsw.h"       // MetaHnsw

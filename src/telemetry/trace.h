@@ -92,7 +92,7 @@ class TraceBuffer {
 };
 
 /// Identifies where spans land and which clock stamps them. Carried from the
-/// ClientRouter / engine through ComputeNode down to the QueuePair; copyable,
+/// ComputeNode down to the QueuePair (pool lanes keep their own); copyable,
 /// does not own anything. A default-constructed context is disabled and every
 /// operation on it is a no-op.
 struct TraceContext {

@@ -161,13 +161,14 @@ std::vector<uint32_t> ChaosHarness::RoutesOf(size_t qi) {
                                               config_.clusters_per_query);
 }
 
-bool SameResults(const BatchResult& a, const BatchResult& b) {
-  if (a.results.size() != b.results.size()) return false;
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    if (a.results[i].size() != b.results[i].size()) return false;
-    for (size_t j = 0; j < a.results[i].size(); ++j) {
-      if (a.results[i][j].id != b.results[i][j].id) return false;
-      if (a.results[i][j].distance != b.results[i][j].distance) return false;
+bool SameResults(const std::vector<std::vector<Scored>>& a,
+                 const std::vector<std::vector<Scored>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t j = 0; j < a[i].size(); ++j) {
+      if (a[i][j].id != b[i][j].id) return false;
+      if (a[i][j].distance != b[i][j].distance) return false;
     }
   }
   return true;

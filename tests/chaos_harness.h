@@ -109,6 +109,10 @@ class ChaosHarness {
 };
 
 /// True when both runs produced byte-identical top-k lists (ids + distances).
-bool SameResults(const BatchResult& a, const BatchResult& b);
+bool SameResults(const std::vector<std::vector<Scored>>& a,
+                 const std::vector<std::vector<Scored>>& b);
+inline bool SameResults(const BatchResult& a, const BatchResult& b) {
+  return SameResults(a.results, b.results);
+}
 
 }  // namespace dhnsw

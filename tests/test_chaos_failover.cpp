@@ -13,8 +13,8 @@
 // second primary kill). A replicated InsertBatch killed mid-batch, between
 // two groups or inside one group's record fan-out, commits on the promoted
 // replica, loses no stored row, and replays its trace byte-identically.
-// When every replica of a shard is gone, only allow_partial degrades
-// queries — matching the router policy.
+// When every replica of a shard is gone, a sharded pool batch degrades its
+// queries only under the nodes' partial_results; otherwise it fails.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -459,7 +459,7 @@ TEST(ChaosFailoverTest, KillPrimaryUnderOpenLoopLoadShedsButNeverLosesAcks) {
   for (const Status& st : after.value().statuses) EXPECT_TRUE(st.ok());
 }
 
-TEST(ChaosFailoverTest, AllReplicasDeadDegradesOnlyUnderAllowPartial) {
+TEST(ChaosFailoverTest, AllReplicasDeadDegradesOnlyUnderPartialResults) {
   ChaosHarness h(ReplicatedConfig());
   ReplicaManager* manager = h.engine().replication();
   ASSERT_NE(manager, nullptr);
@@ -480,17 +480,21 @@ TEST(ChaosFailoverTest, AllReplicasDeadDegradesOnlyUnderAllowPartial) {
   auto compute_partial = h.RunUnderPlan(wipeout, FailoverRetry(), /*partial_results=*/true);
   EXPECT_FALSE(compute_partial.ok());
 
-  // Router level: degradation for a fully-dead shard is allow_partial's job.
-  // Without it the request fails; with it every query of the wiped shard
-  // comes back empty with the error attached instead of wrong data. (Both
-  // replicas are dead + revoked by now, so no re-arming is needed.)
-  auto router_strict = h.engine().SearchSharded(h.dataset().queries, h.config().k,
-                                                h.config().ef_search, RouterOptions{});
-  EXPECT_FALSE(router_strict.ok());
-  auto degraded = h.engine().SearchSharded(h.dataset().queries, h.config().k,
-                                           h.config().ef_search,
-                                           RouterOptions{.allow_partial = true});
+  // Pool level: a shard its node cannot serve at all degrades only under
+  // that node's partial_results. Without it the request fails; with it
+  // every query of the wiped shard comes back empty with the error attached
+  // instead of wrong data. (Both replicas are dead + revoked by now, so no
+  // re-arming is needed.)
+  ComputePool pool(h.engine().compute_nodes(), ComputePoolOptions{});
+  auto pool_strict =
+      pool.SearchSharded(h.dataset().queries, h.config().k, h.config().ef_search);
+  EXPECT_FALSE(pool_strict.ok());
+  for (ComputeNode* node : h.engine().compute_nodes()) {
+    node->mutable_options()->partial_results = true;
+  }
+  auto degraded = pool.SearchSharded(h.dataset().queries, h.config().k, h.config().ef_search);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  ASSERT_EQ(degraded.value().statuses.size(), h.dataset().queries.size());
   for (size_t qi = 0; qi < degraded.value().statuses.size(); ++qi) {
     EXPECT_FALSE(degraded.value().statuses[qi].ok()) << "query " << qi;
     EXPECT_TRUE(degraded.value().results[qi].empty()) << "query " << qi;

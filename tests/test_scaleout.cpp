@@ -15,10 +15,12 @@
 // dispatch), the dispatch rule as a pure function, the RetryBudget
 // cross-inflation regression (concurrent nodes' sim clocks and
 // backoff must equal their solo runs exactly), paced-mode admission-control
-// behaviour, load-aware weighted sharding, and the same-seed wall-free trace
-// byte-identity contract CI archives.
+// behaviour, the sharded front end (SearchSharded queues one shard per lane,
+// also while a paced Run streams ops through the same lanes), and the
+// same-seed wall-free trace byte-identity contract CI archives.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +32,7 @@
 #include "core/compute_pool.h"
 #include "core/engine.h"
 #include "core/workload_gen.h"
+#include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -59,10 +62,12 @@ DhnswConfig ScaleConfig(size_t nodes) {
 }
 
 std::vector<WorkloadOp> ScaleOps(const Dataset& ds, double read_fraction,
-                                 size_t num_ops = 160, uint64_t seed = 21) {
+                                 size_t num_ops = 160, uint64_t seed = 21,
+                                 double target_qps = 50'000.0) {
   WorkloadGenOptions opt;
   opt.seed = seed;
   opt.num_ops = num_ops;
+  opt.target_qps = target_qps;
   opt.arrivals = ArrivalProcess::kPoisson;
   opt.zipf_s = 1.1;
   opt.num_topics = 6;
@@ -519,56 +524,156 @@ TEST(ScaleoutTest, AdmissionControlDropsInsteadOfHanging) {
   EXPECT_EQ(tenant_drops, stats.dropped());
 }
 
-// Load-aware sharding: idle pools get the even split; a backed-up instance
-// gets proportionally fewer queries, and the merged answers are unchanged
-// (searches are pure functions of the query).
-TEST(ScaleoutTest, WeightedShardingBiasesAwayFromLoadedNodes) {
+struct ShardRig {
+  Dataset ds;
+  DhnswEngine engine;
+};
+
+ShardRig BuildShardRig(size_t nodes) {
+  Dataset ds = MakeSynthetic({.dim = 8, .num_base = 1500, .num_queries = 60,
+                              .num_clusters = 8, .seed = 121});
+  DhnswConfig config = DhnswConfig::Defaults();
+  config.meta.num_representatives = 16;
+  config.sub_hnsw = HnswOptions{.M = 8, .ef_construction = 50};
+  config.compute.clusters_per_query = 3;
+  config.compute.cache_capacity = 5;
+  config.num_compute_nodes = nodes;
+  auto engine = DhnswEngine::Build(ds.base, config);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return ShardRig{std::move(ds), std::move(engine).value()};
+}
+
+// A sharded batch comes back in request order with exactly the answers one
+// node gives for the whole batch.
+TEST(ScaleoutTest, ShardedMatchesSingleNodeInRequestOrder) {
+  ShardRig rig = BuildShardRig(3);
+  auto single = rig.engine.compute(0).SearchAll(rig.ds.queries, 10, 48);
+  ASSERT_TRUE(single.ok());
+
+  ComputePool pool(rig.engine.compute_nodes(), ComputePoolOptions{});
+  auto sharded = pool.SearchSharded(rig.ds.queries, 10, 48);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded.value().results.size(), rig.ds.queries.size());
+  EXPECT_TRUE(SameResults(single.value().results, sharded.value().results));
+  for (const Status& st : sharded.value().statuses) EXPECT_TRUE(st.ok());
+}
+
+TEST(ScaleoutTest, ShardedSplitsEvenlyOverNodes) {
+  ShardRig rig = BuildShardRig(3);
+  ComputePool pool(rig.engine.compute_nodes(), ComputePoolOptions{});
+  auto result = pool.SearchSharded(rig.ds.queries, 5, 32);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().per_node.size(), 3u);
+  for (const BatchBreakdown& b : result.value().per_node) {
+    EXPECT_EQ(b.num_queries, 20u);  // 60 queries / 3 nodes
+    EXPECT_GT(b.round_trips, 0u);
+  }
+}
+
+TEST(ScaleoutTest, ShardedUnevenSplitCoversEveryQuery) {
+  ShardRig rig = BuildShardRig(7);  // 60 % 7 != 0 -> uneven shards
+  ComputePool pool(rig.engine.compute_nodes(), ComputePoolOptions{});
+  auto result = pool.SearchSharded(rig.ds.queries, 5, 32);
+  ASSERT_TRUE(result.ok());
+  size_t total = 0;
+  for (const BatchBreakdown& b : result.value().per_node) total += b.num_queries;
+  EXPECT_EQ(total, rig.ds.queries.size());
+  for (const auto& r : result.value().results) EXPECT_FALSE(r.empty());
+}
+
+TEST(ScaleoutTest, ShardedFewerQueriesThanNodesAndEmptyBatch) {
+  ShardRig rig = BuildShardRig(4);
+  ComputePool pool(rig.engine.compute_nodes(), ComputePoolOptions{});
+  VectorSet two(8);
+  two.Append(rig.ds.queries[0]);
+  two.Append(rig.ds.queries[1]);
+  auto result = pool.SearchSharded(two, 5, 32);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().results.size(), 2u);
+  for (const auto& r : result.value().results) EXPECT_FALSE(r.empty());
+
+  auto empty = pool.SearchSharded(VectorSet(8), 5, 32);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().results.empty());
+  EXPECT_TRUE(empty.value().statuses.empty());
+  for (const BatchBreakdown& b : empty.value().per_node) EXPECT_EQ(b.num_queries, 0u);
+}
+
+TEST(ScaleoutTest, ShardedRecallMatchesQuality) {
+  ShardRig rig = BuildShardRig(3);
+  ComputeGroundTruth(&rig.ds, 10);
+  ComputePool pool(rig.engine.compute_nodes(), ComputePoolOptions{});
+  auto result = pool.SearchSharded(rig.ds.queries, 10, 64);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(MeanRecallAtK(rig.ds, result.value().results, 10), 0.8);
+}
+
+// Searches are pure functions of the query: the same answers, ids and
+// distances, however the batch is split (pools over 1 to 4 of the nodes).
+TEST(ScaleoutTest, ShardedAnswersDoNotDependOnTheSplit) {
   const Dataset ds = ScaleData();
   auto built = DhnswEngine::Build(ds.base, ScaleConfig(4));
   ASSERT_TRUE(built.ok());
   DhnswEngine& engine = built.value();
+  auto whole = engine.compute(0).SearchAll(ds.queries, kK, kEf);
+  ASSERT_TRUE(whole.ok());
 
-  ClientRouter router(engine.compute_nodes(), RouterExecution::kIsolated);
-  auto even = router.SearchBatch(ds.queries, kK, kEf);
-  ASSERT_TRUE(even.ok());
-
-  const std::vector<uint64_t> idle(4, 0);
-  auto weighted_idle =
-      router.SearchBatchWeighted(ds.queries, kK, kEf, idle);
-  ASSERT_TRUE(weighted_idle.ok());
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(weighted_idle.value().per_instance[s].num_queries, 6u);
+  const std::vector<ComputeNode*> nodes = engine.compute_nodes();
+  for (size_t n = 1; n <= nodes.size(); ++n) {
+    ComputePool pool({nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(n)},
+                     ScalePoolOptions());
+    auto sharded = pool.SearchSharded(ds.queries, kK, kEf);
+    ASSERT_TRUE(sharded.ok()) << "pool of " << n;
+    EXPECT_TRUE(SameResults(whole.value().results, sharded.value().results))
+        << "pool of " << n;
   }
+}
 
-  const std::vector<uint64_t> skewed = {0, 50, 50, 50};
-  auto weighted = router.SearchBatchWeighted(ds.queries, kK, kEf, skewed);
-  ASSERT_TRUE(weighted.ok());
-  const auto& per = weighted.value().per_instance;
-  EXPECT_GT(per[0].num_queries, per[1].num_queries * 3);
-  size_t total = 0;
-  for (size_t s = 0; s < 4; ++s) total += per[s].num_queries;
-  EXPECT_EQ(total, ds.queries.size());
+// Sharded batches and a paced Run share the lanes. While a read-only Run
+// streams single-query ops at 4k q/s, another thread calls SearchSharded
+// over and over. Every node is still driven by its own lane's worker only,
+// so every sharded answer equals the single-node oracle's and every op
+// completes OK with the oracle's results. Under TSan this also shows that no
+// second executor touches a node while its lane runs.
+TEST(ScaleoutTest, SearchShardedDuringPacedRunMatchesOracle) {
+  const Dataset ds = ScaleData();
+  const auto ops = ScaleOps(ds, /*read_fraction=*/1.0, /*num_ops=*/400, /*seed=*/21,
+                            /*target_qps=*/4000.0);
+  const OracleRun oracle = SequentialOracle(ds, ops);
 
-  // Same answers regardless of how the batch was sharded.
-  ASSERT_EQ(weighted.value().results.size(), even.value().results.size());
-  for (size_t q = 0; q < ds.queries.size(); ++q) {
-    ASSERT_EQ(weighted.value().results[q].size(), even.value().results[q].size());
-    for (size_t j = 0; j < even.value().results[q].size(); ++j) {
-      EXPECT_EQ(weighted.value().results[q][j].id, even.value().results[q][j].id);
-      EXPECT_EQ(weighted.value().results[q][j].distance,
-                even.value().results[q][j].distance);
-    }
+  auto built = DhnswEngine::Build(ds.base, ScaleConfig(2));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  DhnswEngine& engine = built.value();
+  ComputePoolOptions popt = ScalePoolOptions();
+  popt.admission.node_queue_capacity = ops.size();  // nothing is shed
+  ComputePool pool(engine.compute_nodes(), popt);
+
+  std::atomic<bool> run_done{false};
+  std::vector<Result<ShardedResult>> sharded;
+  std::thread front([&] {
+    do {
+      sharded.push_back(pool.SearchSharded(ds.queries, kK, kEf));
+    } while (!run_done.load());
+  });
+  std::vector<OpOutcome> outcomes;
+  const PoolRunStats stats = pool.Run(ops, PoolRunMode::kPaced, &outcomes);
+  run_done.store(true);
+  front.join();
+
+  EXPECT_EQ(stats.completed_ok, ops.size());
+  EXPECT_EQ(stats.dropped(), 0u);
+  ASSERT_EQ(outcomes.size(), ops.size());
+  std::vector<std::vector<Scored>> per_op(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].status.ok()) << "op " << i << ": " << outcomes[i].status.ToString();
+    per_op[i] = outcomes[i].results;
   }
-
-  // The pool front-end rides the same path end to end.
-  ComputePool pool(engine.compute_nodes(), ScalePoolOptions());
-  auto via_pool = pool.SearchSharded(ds.queries, kK, kEf);
-  ASSERT_TRUE(via_pool.ok());
-  for (size_t q = 0; q < ds.queries.size(); ++q) {
-    ASSERT_EQ(via_pool.value().results[q].size(), even.value().results[q].size());
-    for (size_t j = 0; j < even.value().results[q].size(); ++j) {
-      EXPECT_EQ(via_pool.value().results[q][j].id, even.value().results[q][j].id);
-    }
+  EXPECT_TRUE(SameResults(oracle.per_op, per_op));
+  ASSERT_FALSE(sharded.empty());
+  for (size_t c = 0; c < sharded.size(); ++c) {
+    ASSERT_TRUE(sharded[c].ok()) << "call " << c << ": " << sharded[c].status().ToString();
+    EXPECT_TRUE(SameResults(oracle.quiescence.results, sharded[c].value().results))
+        << "call " << c;
   }
 }
 
